@@ -39,8 +39,6 @@ from .exact_analysis import (
 )
 from .marking import (
     MarkingState,
-    PairAssignment,
-    build_assignment,
     bulk_marking_runs,
     expected_full_marking_time,
     expected_phase1_time,

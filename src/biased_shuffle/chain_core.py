@@ -28,6 +28,9 @@ STREAM_TYPECHAIN = 3
 STREAM_TOUCH = 4
 STREAM_UNIFORMITY = 5
 
+# Card labels, positions and counters are int16 in the batched engines.
+MAX_DECK = int(np.iinfo(np.int16).max)
+
 
 def stream_rng(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator derived from (seed, path).
@@ -48,6 +51,9 @@ class BiasProfile:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        if 2 * self.n > MAX_DECK:
+            raise ValueError(f"deck size {2 * self.n} exceeds {MAX_DECK}, the most "
+                             "cards the int16 card arrays can label")
         if not (0.0 < self.a <= 1.0):
             raise ValueError("a must lie in (0, 1]")
 

@@ -13,8 +13,11 @@ probability a^2 / (w(R) w(L)).  Phase two marks through four triggers:
      probability a w(u) / (w(R) w(L)).
 
 Every unmarked card carries an assigned ordered pair of distinct marked
-cards, at least one of the pair sharing its type; assignments are rebuilt
-from scratch whenever the marked set changes.
+cards: the j-th unmarked card of type X (ascending labels, from 0) gets the
+lowest marked card of type X and the j-th other marked card.  Both engines
+look a draw up through the inverse of that rule, :func:`assigned_card`, so
+no assignment is stored or rebuilt.  Each acceptance probability is stated
+once as a (numerator, denominator) rule of hand weights.
 
 Internally the deck permutation is factored as pi_t = phi_t o psi_t^{-1}:
 ``phi`` lists the marked cards first in marking order, ``psi`` lists their
@@ -30,7 +33,7 @@ its output is a deterministic function of (seed, trials).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -56,22 +59,49 @@ def mark_threshold(deck: int, c1: float) -> int:
     return math.ceil(c1 * deck - 1e-9)
 
 
+def phase1_rule(a, w_r, w_l):
+    """Phase one, both hands unmarked: mark R with probability a^2 / (w_R w_L)."""
+    return a * a, w_r * w_l
+
+
+def solo_rule(a, w_u):
+    """Both hands on the same unmarked u: mark u with probability a / w_u."""
+    return a, w_u
+
+
+def mixed_rule(a, w_marked):
+    """One hand marked: mark the other with probability a / w(marked)."""
+    return a, w_marked
+
+
+def pair_rule(a, w_u, w_r, w_l):
+    """Hands on the pair assigned to u: mark u with probability a w_u / (w_R w_L)."""
+    return a * w_u, w_r * w_l
+
+
+# Each rule returns (numerator, denominator) and takes floats or arrays; the
+# scalar engine divides, the batched engine compares u * den < num.
+
 def phase1_accept_probability(profile: BiasProfile, right: int, left: int) -> float:
-    a = profile.a
-    return a * a / (profile.weight(right) * profile.weight(left))
+    num, den = phase1_rule(profile.a, profile.weight(right), profile.weight(left))
+    return num / den
 
 
 def phase2_solo_accept_probability(profile: BiasProfile, card: int) -> float:
-    return profile.a / profile.weight(card)
+    num, den = solo_rule(profile.a, profile.weight(card))
+    return num / den
 
 
 def phase2_mixed_mark_probability(profile: BiasProfile, marked_card: int) -> float:
     """Case 2/3 marking probability; the mark moves with the complement."""
-    return profile.a / profile.weight(marked_card)
+    num, den = mixed_rule(profile.a, profile.weight(marked_card))
+    return num / den
 
 
 def phase2_pair_accept_probability(profile: BiasProfile, u: int, r: int, l: int) -> float:
-    return profile.a * profile.weight(u) / (profile.weight(r) * profile.weight(l))
+    num, den = pair_rule(profile.a, profile.weight(u), profile.weight(r),
+                         profile.weight(l))
+    return num / den
 
 
 def phase1_marking_rate(profile: BiasProfile, k: int) -> float:
@@ -82,58 +112,36 @@ def phase1_marking_rate(profile: BiasProfile, k: int) -> float:
     return (profile.a * (deck - k) / deck) ** 2
 
 
-@dataclass
-class PairAssignment:
-    """Injective map from unmarked cards to ordered pairs of marked cards."""
+def assigned_card(marked, n: int, right, left):
+    """Unmarked card assigned to the ordered pair (right, left), or -1.
 
-    pairs: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def by_pair(self) -> dict[tuple[int, int], int]:
-        return {pair: u for u, pair in self.pairs.items()}
-
-
-def build_assignment(n: int, marked: list[bool]) -> PairAssignment:
-    """Greedy pair assignment for the current marked set.
-
-    Unmarked cards are visited in ascending label order; each takes the
-    lowest-labelled marked card of its own type as first coordinate and the
-    lowest-labelled other marked card making an unused ordered pair as
-    second.  Feasible whenever more than half the deck is marked.
+    ``right`` and ``left`` are distinct marked cards and more than half the
+    deck is marked.  The j-th unmarked card of type X gets the pair (lowest
+    marked X, j-th marked card other than that one), so the pair hits a card
+    exactly when ``right`` is the lowest marked card of its type and
+    ``left``'s rank j among the other marked cards is below the number of
+    unmarked cards of that type; the card is then the j-th of them.  Takes
+    one run (``marked`` of shape (deck,), scalar hands) or a batch (shape
+    (rows, deck), hand arrays of shape (rows,)).
     """
-    deck = len(marked)
-    if deck != 2 * n:
-        raise ValueError("marked must have one flag per card")
-    marked_all = [c for c in range(deck) if marked[c]]
-    out = PairAssignment()
-    used: set[tuple[int, int]] = set()
-    for u in range(deck):
-        if marked[u]:
-            continue
-        same_type = [c for c in marked_all if (c < n) == (u < n)]
-        if not same_type:
-            raise ValueError("no marked card shares the unmarked card's type")
-        chosen = None
-        for r in same_type:
-            for l in marked_all:
-                if l != r and (r, l) not in used:
-                    chosen = (r, l)
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            raise ValueError("ran out of ordered pairs; marked set too small")
-        used.add(chosen)
-        out.pairs[u] = chosen
-    return out
+    marked = np.asarray(marked, dtype=bool)
+    right = np.asarray(right)
+    left = np.asarray(left)
+    labels = np.arange(2 * n)
+    own = (labels >= n) == (right >= n)[..., None]
+    low = np.argmax(marked & own, axis=-1)
+    j = np.count_nonzero(marked & (labels < left[..., None]), axis=-1) - (right < left)
+    free = own & ~marked
+    hit = (low == right) & (j < np.count_nonzero(free, axis=-1))
+    u = np.argmax(np.cumsum(free, axis=-1) > j[..., None], axis=-1)
+    return np.where(hit, u, -1)
 
 
 class MarkingState:
     """Scalar state of one marking trajectory.
 
-    Tracks the deck, the marked set with per-type counts, the phi/psi
-    factorization and the pair assignment.  Confined to a single trajectory;
-    not thread safe.
+    Tracks the deck, the marked set with per-type counts and the phi/psi
+    factorization.  Confined to a single trajectory; not thread safe.
     """
 
     def __init__(self, profile: BiasProfile, c1: float, always_mark: bool = False):
@@ -152,8 +160,6 @@ class MarkingState:
         self.phi_inv = list(range(deck))
         self.psi = list(range(deck))
         self.phase2 = False
-        self.assignment = PairAssignment()
-        self.pair_to_u: dict[tuple[int, int], int] = {}
         # mark_times[k] is the step at which the marked count first hit k.
         self.mark_times: list[int | None] = [0] + [None] * deck
 
@@ -201,17 +207,9 @@ class MarkingState:
             self.kb += 1
         self.mark_times[self.k] = self.t
 
-    def _rebuild_assignment(self) -> None:
-        if self.done:
-            self.assignment = PairAssignment()
-        else:
-            self.assignment = build_assignment(self.profile.n, self.marked)
-        self.pair_to_u = self.assignment.by_pair
-
     def _enter_phase2_if_due(self) -> None:
-        if not self.phase2 and self.k >= self.threshold:
+        if self.k >= self.threshold:
             self.phase2 = True
-            self._rebuild_assignment()
 
     # -- phase two bookkeeping helpers ------------------------------------
 
@@ -225,7 +223,6 @@ class MarkingState:
         slot = self.k
         self._both_swap(slot, self.phi_inv[new_card])
         self._record_mark(new_card)
-        self._rebuild_assignment()
 
     def _move_mark(self, right: int, left: int, src: int, dst: int) -> None:
         self._move_update(right, left)
@@ -235,7 +232,6 @@ class MarkingState:
         n = self.profile.n
         self.ka += int(dst < n) - int(src < n)
         self.kb += int(dst >= n) - int(src >= n)
-        self._rebuild_assignment()
 
 
 def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
@@ -281,8 +277,8 @@ def phase2_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) ->
             ms._move_mark(right, left, src=right, dst=left)
         return
     if m_right and m_left:
-        u = ms.pair_to_u.get((right, left))
-        if u is not None and ms._accept(
+        u = int(assigned_card(ms.marked, profile.n, right, left))
+        if u >= 0 and ms._accept(
                 phase2_pair_accept_probability(profile, u, right, left), rng):
             ms._mark_phase2(right, left, u)
         else:
@@ -391,38 +387,19 @@ class BulkMarkingResult:
     hit_positions: np.ndarray | None = None    # (trials, m) their positions
 
 
-def _bulk_assignments(marked, ka, order, n, rows=None):
-    """Vectorised greedy assignment; one row per run.
-
-    Relies on type-A labels sorting below type-B labels, so the marked block
-    of ``order`` lists marked A cards first.  Matches build_assignment.
-    """
-    deck = 2 * n
-    count = marked.shape[0]
-    low_a = order[:, 0]
-    low_b = np.take_along_axis(order, ka[:, None].astype(np.int64), axis=1)[:, 0]
-    cm = np.cumsum(marked, axis=1)
-    labels = np.arange(deck, dtype=np.int64)
-    rank_a = (labels[:n] + 1)[None, :] - cm[:, :n]
-    rank_b = (labels[:n] + 1)[None, :] - (cm[:, n:] - ka[:, None])
-    l_idx = np.empty((count, deck), dtype=np.int64)
-    l_idx[:, :n] = rank_a  # excluded card sits at index 0: i-th other is order[i]
-    l_idx[:, n:] = np.where(rank_b - 1 < ka[:, None], rank_b - 1, rank_b)
-    np.clip(l_idx, 0, deck - 1, out=l_idx)
-    l_of = np.take_along_axis(order, l_idx, axis=1).astype(np.int16)
-    r_of = np.where(labels[None, :] < n, low_a[:, None], low_b[:, None]).astype(np.int16)
-    r_of[marked] = -1
-    l_of[marked] = -1
-    return r_of, l_of
-
-
 def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
                       record_first_k: int | None = None,
                       census: MarkingCensus | None = None,
                       max_steps: int | None = None) -> BulkMarkingResult:
-    """Run many marking trajectories in one vectorised sweep."""
+    """Run many marking trajectories in one vectorised sweep.
+
+    Besides the deck and the marked set, each run keeps ``low``, the lowest
+    marked label of each type (``deck`` while none is marked).  A pair draw
+    can only hit an assigned card when the right hand holds ``low`` of its
+    type, so :func:`assigned_card` runs on those few rows alone.
+    """
     n = profile.n
     deck = profile.deck_size
     a, b = profile.a, profile.b
@@ -442,8 +419,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     ka = np.zeros(trials, dtype=np.int16)
     kb = np.zeros(trials, dtype=np.int16)
     phase2 = np.zeros(trials, dtype=bool)
-    r_of = np.full((trials, deck), -1, dtype=np.int16)
-    l_of = np.full((trials, deck), -1, dtype=np.int16)
+    low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
 
     out_decks = np.empty((trials, deck), dtype=np.int16)
@@ -455,7 +431,11 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     out_hit_pos = np.empty((trials, m_rec), dtype=np.int16) if m_rec else None
 
     wt = np.where(labels < n, a, b)
-    a_sq = a * a
+
+    def coin(u, rule):
+        num, den = rule
+        return u * den < num
+
     t = 0
     while card_at.shape[0]:
         t += 1
@@ -489,7 +469,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         if always_mark:
             acc1 = trig1
         else:
-            acc1 = trig1 & (u_acc * (w_r * w_l) < a_sq)
+            acc1 = trig1 & coin(u_acc, phase1_rule(a, w_r, w_l))
 
         same = right == left
         case1 = in2 & same & ~m_r
@@ -499,24 +479,23 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         if always_mark:
             ok1, ok2, ok3 = case1, case2, case3
         else:
-            ok1 = case1 & (u_acc * w_r < a)
-            ok2 = case2 & (u_acc * w_l < a)
-            ok3 = case3 & (u_acc * w_r < a)
+            ok1 = case1 & coin(u_acc, solo_rule(a, w_r))
+            ok2 = case2 & coin(u_acc, mixed_rule(a, w_l))
+            ok3 = case3 & coin(u_acc, mixed_rule(a, w_r))
         mv2 = case2 & ~ok2
         mv3 = case3 & ~ok3
 
-        match = (r_of == right[:, None]) & (l_of == left[:, None])
-        u_card = match.argmax(axis=1)
-        has_u = match[rows, u_card]
-        trig4 = case4 & has_u
-        if always_mark:
-            ok4 = trig4
-        else:
-            ok4 = trig4 & (u_acc * (w_r * w_l) < a * wt[u_card])
+        u_card = np.full(batch, -1, dtype=np.int64)
+        cand = np.flatnonzero(case4 & (low[rows, (right >= n).astype(np.intp)] == right))
+        if cand.size:
+            u = assigned_card(marked[cand], n, right[cand], left[cand])
+            ok4 = u >= 0
+            if not always_mark:
+                ok4 &= coin(u_acc[cand],
+                            pair_rule(a, wt[u], w_r[cand], w_l[cand]))
+            u_card[cand[ok4]] = u[ok4]
 
-        new_mark = np.where(acc1 | ok1 | ok2, right,
-                            np.where(ok3, left,
-                                     np.where(ok4, u_card, -1)))
+        new_mark = np.where(acc1 | ok1 | ok2, right, np.where(ok3, left, u_card))
         do_mark = new_mark >= 0
 
         if census is not None:
@@ -545,6 +524,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             is_a = cards < n
             ka[midx] += is_a
             kb[midx] += ~is_a
+            col = (~is_a).astype(np.intp)
+            low[midx, col] = np.minimum(low[midx, col], cards)
             if out_times is not None:
                 out_times[orig[midx], k[midx].astype(np.int64)] = t
             if m_rec is not None:
@@ -564,6 +545,15 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             delta = (dst < n).astype(np.int16) - (src < n).astype(np.int16)
             ka[vidx] += delta
             kb[vidx] -= delta
+            col = (dst >= n).astype(np.intp)
+            low[vidx, col] = np.minimum(low[vidx, col], dst)
+            col = (src >= n).astype(np.intp)
+            lost = np.flatnonzero(low[vidx, col] == src)
+            if lost.size:
+                # phase two keeps a mark of each type, so one is always found
+                lrows, lcol = vidx[lost], col[lost]
+                own = (labels >= n) == (src[lost] >= n)[:, None]
+                low[lrows, lcol] = np.argmax(marked[lrows] & own, axis=1)
 
         newly2 = ~phase2 & (k >= threshold)
         if newly2.any():
@@ -575,19 +565,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             fin = np.flatnonzero(finished)
             out_tfull[orig[fin]] = t
             out_decks[orig[fin]] = card_at[fin]
-            # dead rows keep riding until compaction; a stale assignment
-            # could otherwise re-mark an already marked card
-            r_of[fin] = -1
-            l_of[fin] = -1
-
-        rebuild = (do_mark | mv2 | mv3 | newly2) & phase2 & (k < deck)
-        ridx = np.flatnonzero(rebuild)
-        if ridx.size:
-            key = np.where(marked[ridx], labels[None, :], labels[None, :] + deck)
-            order = np.argsort(key, axis=1)
-            r_new, l_new = _bulk_assignments(marked[ridx], ka[ridx], order, n)
-            r_of[ridx] = r_new
-            l_of[ridx] = l_new
 
         alive = k < deck
         dead = np.count_nonzero(~alive)
@@ -600,8 +577,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             ka = ka[keep]
             kb = kb[keep]
             phase2 = phase2[keep]
-            r_of = r_of[keep]
-            l_of = l_of[keep]
+            low = low[keep]
             orig = orig[keep]
 
     return BulkMarkingResult(

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately brute force: dense matrices, dictionary
-dynamic programming over (permutation, marked set) states, and exhaustive
-enumeration.  Slow but transparent, so the fast engines can be checked
-against them.
+Everything here is deliberately brute force: dense matrices, the greedy
+pair assignment built pair by pair, dictionary dynamic programming over
+(permutation, marked set) states, and exhaustive enumeration.  Slow but
+transparent, so the fast engines can be checked against them.
 """
 from __future__ import annotations
 
 import copy
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from biased_shuffle import make_bias_profile
 from biased_shuffle.chain_core import MoveRecord
 from biased_shuffle.marking import (
     MarkingState,
-    build_assignment,
     mark_threshold,
     phase1_accept_probability,
     phase1_step,
@@ -25,6 +25,52 @@ from biased_shuffle.marking import (
     phase2_pair_accept_probability,
     phase2_solo_accept_probability,
 )
+
+
+@dataclass
+class PairAssignment:
+    """Injective map from unmarked cards to ordered pairs of marked cards."""
+
+    pairs: dict[int, tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def by_pair(self) -> dict[tuple[int, int], int]:
+        return {pair: u for u, pair in self.pairs.items()}
+
+
+def build_assignment(n: int, marked: list[bool]) -> PairAssignment:
+    """Greedy pair assignment for the current marked set.
+
+    Unmarked cards are visited in ascending label order; each takes the
+    lowest-labelled marked card of its own type as first coordinate and the
+    lowest-labelled other marked card making an unused ordered pair as
+    second.  Feasible whenever more than half the deck is marked.
+    """
+    deck = len(marked)
+    if deck != 2 * n:
+        raise ValueError("marked must have one flag per card")
+    marked_all = [c for c in range(deck) if marked[c]]
+    out = PairAssignment()
+    used: set[tuple[int, int]] = set()
+    for u in range(deck):
+        if marked[u]:
+            continue
+        same_type = [c for c in marked_all if (c < n) == (u < n)]
+        if not same_type:
+            raise ValueError("no marked card shares the unmarked card's type")
+        chosen = None
+        for r in same_type:
+            for l in marked_all:
+                if l != r and (r, l) not in used:
+                    chosen = (r, l)
+                    break
+            if chosen:
+                break
+        if chosen is None:
+            raise ValueError("ran out of ordered pairs; marked set too small")
+        used.add(chosen)
+        out.pairs[u] = chosen
+    return out
 
 
 def dense_transition_matrix(profile):

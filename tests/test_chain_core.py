@@ -44,6 +44,13 @@ class TestBiasProfile:
         with pytest.raises(ValueError):
             make_bias_profile(n, a)
 
+    def test_rejects_decks_past_int16_labels(self):
+        with pytest.raises(ValueError, match="32767"):
+            make_bias_profile(16_384, 0.5)
+        largest = make_bias_profile(16_383, 0.5)
+        u = np.array([0.0, 0.2499, 0.25, np.nextafter(1.0, 0.0)])
+        assert hands_from_uniforms(largest, u).tolist() == [0, 16_376, 16_383, 32_765]
+
     def test_weight_out_of_range(self):
         p = make_bias_profile(2, 0.5)
         with pytest.raises(ValueError):

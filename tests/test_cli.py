@@ -219,6 +219,10 @@ class TestExitCodes:
     def test_usage_odd_deck(self):
         assert main(["exact", "--deck", "5"]) == 2
 
+    def test_usage_deck_past_int16_labels(self, capsys):
+        assert main(["marking", "--deck", "32768", "--trials", "1"]) == 2
+        assert "32767" in capsys.readouterr().err
+
     def test_usage_bad_model_parameters(self):
         assert main(["marking", "--deck", "4", "--c1", "0.4",
                      "--trials", "10"]) == 2

@@ -1,4 +1,5 @@
 """Two-phase marking: probabilities, assignment, engines, exact-law oracles."""
+import itertools
 import math
 from collections import defaultdict
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from _reference import full_scheme_dp, phase1_path_distribution
+from _reference import build_assignment, full_scheme_dp, phase1_path_distribution
 from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
@@ -18,8 +19,7 @@ from biased_shuffle.marking import (
     STAY,
     MarkingCensus,
     MarkingState,
-    _bulk_assignments,
-    build_assignment,
+    assigned_card,
     bulk_marking_runs,
     expected_full_marking_time,
     expected_phase1_time,
@@ -133,17 +133,33 @@ class TestAssignment:
             seen.add((r, l))
         assert set(asg.pairs) == {c for c in range(deck) if not flags[c]}
 
-        marked = np.array([flags], dtype=bool)
-        ka = np.array([sum(flags[:n])], dtype=np.int16)
-        labels = np.arange(deck, dtype=np.int64)
-        key = np.where(marked, labels[None, :], labels[None, :] + deck)
-        order = np.argsort(key, axis=1)
-        r_of, l_of = _bulk_assignments(marked, ka, order, n)
-        for u in range(deck):
-            if flags[u]:
-                assert r_of[0, u] == -1 and l_of[0, u] == -1
-            else:
-                assert (r_of[0, u], l_of[0, u]) == asg.pairs[u]
+        pairs = [(r, l) for r in marked_set for l in marked_set if r != l]
+        right, left = np.array(pairs).T
+        got = assigned_card(np.tile(flags, (len(pairs), 1)), n, right, left)
+        by_pair = asg.by_pair
+        assert got.tolist() == [by_pair.get(pair, -1) for pair in pairs]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form_matches_greedy_exhaustively(self, n):
+        # every marked set with n < k < N, every ordered pair of distinct
+        # marked cards, through the one-run and the batched call
+        deck = 2 * n
+        rows, right, left, want = [], [], [], []
+        for k in range(n + 1, deck):
+            for marked_set in itertools.combinations(range(deck), k):
+                flags = [c in marked_set for c in range(deck)]
+                by_pair = build_assignment(n, flags).by_pair
+                for r, l in itertools.permutations(marked_set, 2):
+                    expected = by_pair.get((r, l), -1)
+                    assert assigned_card(flags, n, r, l) == expected
+                    rows.append(flags)
+                    right.append(r)
+                    left.append(l)
+                    want.append(expected)
+        got = assigned_card(np.array(rows), n, np.array(right), np.array(left))
+        assert got.tolist() == want
+        assert sum(u >= 0 for u in want) == sum(
+            math.comb(deck, k) * (deck - k) for k in range(n + 1, deck))
 
 
 class TestScalarEngine:
