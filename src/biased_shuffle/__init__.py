@@ -16,10 +16,7 @@ from .chain_core import (
     MoveRecord,
     DEFAULT_SEED,
     make_bias_profile,
-    pair_probability,
     sample_hand,
-    sample_hands,
-    step,
     stream_rng,
 )
 from .exact_analysis import (
@@ -59,11 +56,9 @@ from .type_chain import (
 from .bounds import (
     coupon_expectation,
     derangement_count,
-    estimate_fixed_mass,
     lower_bound_sweep,
     sample_touch_picks,
     simulate_walks,
-    tv_lower_bound,
     uniform_fixed_mass,
     uniform_fixed_pmf,
 )

@@ -176,8 +176,8 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
                 raise RuntimeError(f"touch tracking still open after {s} steps")
             s += 1
             u = rng.random((bsz, 2))
-            right = hands_from_uniforms(profile, u[:, 0]).astype(np.int64)
-            left = hands_from_uniforms(profile, u[:, 1]).astype(np.int64)
+            right = hands_from_uniforms(profile, u[:, 0])
+            left = hands_from_uniforms(profile, u[:, 1])
             p_r = pos[rows, right]
             p_l = pos[rows, left]
             is_ar = right < n
@@ -210,20 +210,6 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     return WalkSimResult(ts, counts, touch_steps, touch_picks)
 
 
-class FixedMassEstimate(NamedTuple):
-    estimate: float
-    stderr: float
-
-
-def estimate_fixed_mass(profile: BiasProfile, t: int, threshold: int,
-                        trials: int, seed: int) -> FixedMassEstimate:
-    """Monte Carlo estimate of P(A_t >= threshold) along the walk."""
-    result = simulate_walks(profile, [t], trials, seed)
-    hits = result.counts[:, 0] >= threshold
-    p = float(hits.mean())
-    return FixedMassEstimate(p, math.sqrt(max(p * (1 - p), 0.0) / trials))
-
-
 class LowerBoundRow(NamedTuple):
     t: int
     threshold: int
@@ -244,12 +230,6 @@ def lower_bound_sweep(profile: BiasProfile, t_values, threshold: int,
         se = math.sqrt(max(p * (1 - p), 0.0) / trials)
         rows.append(LowerBoundRow(t, threshold, p, se, um, abs(p - um)))
     return rows
-
-
-def tv_lower_bound(profile: BiasProfile, t: int, threshold: int,
-                   trials: int, seed: int) -> LowerBoundRow:
-    """Single-checkpoint TV lower bound at step t."""
-    return lower_bound_sweep(profile, [t], threshold, trials, seed)[0]
 
 
 def suggested_threshold(n: int) -> int:

@@ -151,41 +151,23 @@ class DeckState:
 
 
 def sample_hand(profile: BiasProfile, rng: np.random.Generator) -> int:
-    """Draw one card label from the hand law by inverse CDF."""
+    """Draw one card label from the hand law by inverse CDF.
+
+    Evaluates the expressions of :func:`hands_from_uniforms`, so a uniform
+    maps to the same card in the scalar and the batched engines.
+    """
     u = rng.random()
+    n, size = profile.n, profile.deck_size
     half_a = 0.5 * profile.a  # total mass of the type-A block
     if u < half_a:
-        card = int(u * profile.deck_size / profile.a)
-        return min(card, profile.n - 1)
-    card = profile.n + int((u - half_a) * profile.deck_size / profile.b)
-    return min(card, profile.deck_size - 1)
+        return min(int(u * (size / profile.a)), n - 1)
+    return n + min(int((u - half_a) * (size / profile.b)), n - 1)
 
 
 def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse-CDF map from uniforms in [0, 1) to card labels."""
+    """Vectorised inverse-CDF map from uniforms in [0, 1) to int64 card labels."""
     n, size = profile.n, profile.deck_size
     half_a = 0.5 * profile.a
     low = np.minimum((u * (size / profile.a)).astype(np.int64), n - 1)
     high = n + np.minimum(((u - half_a) * (size / profile.b)).astype(np.int64), n - 1)
-    return np.where(u < half_a, low, high).astype(np.int16)
-
-
-def sample_hands(profile: BiasProfile, rng: np.random.Generator, size: int) -> np.ndarray:
-    return hands_from_uniforms(profile, rng.random(size))
-
-
-def step(state: DeckState, profile: BiasProfile, rng: np.random.Generator,
-         t: int = 1) -> tuple[DeckState, MoveRecord]:
-    """Apply one walk step and return the new state plus its move record."""
-    if state.n != profile.n:
-        raise ValueError("deck size does not match profile")
-    right = sample_hand(profile, rng)
-    left = sample_hand(profile, rng)
-    out = state.copy()
-    out.swap_cards(right, left)
-    return out, MoveRecord(t=t, right=right, left=left)
-
-
-def pair_probability(profile: BiasProfile, i: int, j: int) -> float:
-    """Probability that an ordered hand pair lands on (i, j)."""
-    return profile.hand_probability(i) * profile.hand_probability(j)
+    return np.where(u < half_a, low, high)

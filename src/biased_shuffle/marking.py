@@ -54,8 +54,7 @@ from .exact_analysis import encode_many, factorials
 
 def mark_threshold(deck: int, c1: float) -> int:
     """First marked count that belongs to phase two: ceil(c1 * deck)."""
-    if not 0.5 < c1 < 1.0:
-        raise ValueError("c1 must lie strictly between 1/2 and 1")
+    type_chain._check_c1(c1)
     return math.ceil(c1 * deck - 1e-9)
 
 
@@ -80,28 +79,8 @@ def pair_rule(a, w_u, w_r, w_l):
 
 
 # Each rule returns (numerator, denominator) and takes floats or arrays; the
-# scalar engine divides, the batched engine compares u * den < num.
-
-def phase1_accept_probability(profile: BiasProfile, right: int, left: int) -> float:
-    num, den = phase1_rule(profile.a, profile.weight(right), profile.weight(left))
-    return num / den
-
-
-def phase2_solo_accept_probability(profile: BiasProfile, card: int) -> float:
-    num, den = solo_rule(profile.a, profile.weight(card))
-    return num / den
-
-
-def phase2_mixed_mark_probability(profile: BiasProfile, marked_card: int) -> float:
-    """Case 2/3 marking probability; the mark moves with the complement."""
-    num, den = mixed_rule(profile.a, profile.weight(marked_card))
-    return num / den
-
-
-def phase2_pair_accept_probability(profile: BiasProfile, u: int, r: int, l: int) -> float:
-    num, den = pair_rule(profile.a, profile.weight(u), profile.weight(r),
-                         profile.weight(l))
-    return num / den
+# scalar engine accepts with probability num / den, the batched engine
+# compares u * den < num.
 
 
 def phase1_marking_rate(profile: BiasProfile, k: int) -> float:
@@ -171,7 +150,10 @@ class MarkingState:
     def done(self) -> bool:
         return self.k == self.profile.deck_size
 
-    def _accept(self, p: float, rng: np.random.Generator) -> bool:
+    def _accept(self, rule: tuple[float, float], rng: np.random.Generator) -> bool:
+        """Coin for an acceptance ``rule``'s (numerator, denominator)."""
+        num, den = rule
+        p = num / den
         if p > 1.0 + 1e-12:
             raise AssertionError(f"acceptance probability {p} above one")
         return True if self.always_mark else rng.random() < p
@@ -237,9 +219,9 @@ class MarkingState:
 def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase one."""
     right, left = move.right, move.left
-    profile = ms.profile
+    a, w = ms.profile.a, ms.profile.weight
     if (not ms.marked[right] and not ms.marked[left]
-            and ms._accept(phase1_accept_probability(profile, right, left), rng)):
+            and ms._accept(phase1_rule(a, w(right), w(left)), rng)):
         slot = ms.k
         r_slot = ms.phi_inv[right]
         l_slot = ms.phi_inv[left]
@@ -258,28 +240,27 @@ def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) ->
 def phase2_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase two."""
     right, left = move.right, move.left
-    profile = ms.profile
+    a, w = ms.profile.a, ms.profile.weight
     m_right, m_left = ms.marked[right], ms.marked[left]
     if right == left:
-        if not m_right and ms._accept(phase2_solo_accept_probability(profile, right), rng):
+        if not m_right and ms._accept(solo_rule(a, w(right)), rng):
             ms._mark_phase2(right, left, right)
         return
     if not m_right and m_left:
-        if ms._accept(phase2_mixed_mark_probability(profile, left), rng):
+        if ms._accept(mixed_rule(a, w(left)), rng):
             ms._mark_phase2(right, left, right)
         else:
             ms._move_mark(right, left, src=left, dst=right)
         return
     if m_right and not m_left:
-        if ms._accept(phase2_mixed_mark_probability(profile, right), rng):
+        if ms._accept(mixed_rule(a, w(right)), rng):
             ms._mark_phase2(right, left, left)
         else:
             ms._move_mark(right, left, src=right, dst=left)
         return
     if m_right and m_left:
-        u = int(assigned_card(ms.marked, profile.n, right, left))
-        if u >= 0 and ms._accept(
-                phase2_pair_accept_probability(profile, u, right, left), rng):
+        u = int(assigned_card(ms.marked, ms.profile.n, right, left))
+        if u >= 0 and ms._accept(pair_rule(a, w(u), w(right), w(left)), rng):
             ms._mark_phase2(right, left, u)
         else:
             ms._move_update(right, left)
@@ -402,7 +383,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     """
     n = profile.n
     deck = profile.deck_size
-    a, b = profile.a, profile.b
+    a = profile.a
     threshold = mark_threshold(deck, c1)
     cap = default_step_cap(deck) if max_steps is None else max_steps
     if trials < 1:
@@ -430,7 +411,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     out_hit_labels = np.empty((trials, m_rec), dtype=np.int16) if m_rec else None
     out_hit_pos = np.empty((trials, m_rec), dtype=np.int16) if m_rec else None
 
-    wt = np.where(labels < n, a, b)
+    wt = profile.weights()
 
     def coin(u, rule):
         num, den = rule
@@ -444,8 +425,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                                f"{card_at.shape[0]} runs unfinished")
         batch = card_at.shape[0]
         rows = np.arange(batch)
-        right = hands_from_uniforms(profile, rng.random(batch)).astype(np.int64)
-        left = hands_from_uniforms(profile, rng.random(batch)).astype(np.int64)
+        right = hands_from_uniforms(profile, rng.random(batch))
+        left = hands_from_uniforms(profile, rng.random(batch))
         u_acc = rng.random(batch)
 
         p_r = pos_of[rows, right]

@@ -44,15 +44,21 @@ def _check_c1(c1: float) -> None:
         raise ValueError("c1 must lie strictly between 1/2 and 1")
 
 
-def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
-    """Exact move probabilities of the type-count chain at (ka, kb)."""
-    _check_state(n, ka, kb)
+def _jump_law(n, a, ka, kb):
+    """Probabilities (p_b_up, p_a_up, p_move) at (ka, kb), for ints or arrays."""
     b = 2.0 - a
     denom = (2 * n) ** 2
     k1 = ka + kb + 1
     p_b_up = 2.0 * a * b * (n - kb) * k1 / denom
     p_a_up = 2.0 * a * a * (n - ka) * k1 / denom
     p_move = 2.0 * a * (b - a) * (n - ka) * kb / denom
+    return p_b_up, p_a_up, p_move
+
+
+def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
+    """Exact move probabilities of the type-count chain at (ka, kb)."""
+    _check_state(n, ka, kb)
+    p_b_up, p_a_up, p_move = _jump_law(n, a, ka, kb)
     return TransitionRow(p_b_up=p_b_up, p_a_up=p_a_up, p_move=p_move,
                          p_stay=1.0 - p_b_up - p_a_up - p_move)
 
@@ -69,29 +75,37 @@ def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
     return a * (n - ka) * (2.0 * c1 - 1.0) / n
 
 
-def expected_absorption(n: int, a: float) -> np.ndarray:
-    """Expected steps to reach (n, n) from every grid state, exact.
+def _backward_sweep(w_b, w_a, w_m) -> np.ndarray:
+    """Solve T[ka, kb] = (1 + sum w T[next]) / sum w with T[n, n] = 0.
 
-    Solved by one backward sweep over k = ka + kb (descending), with ka
-    descending inside a diagonal so the mark-move target is always ready.
+    ``w_b``, ``w_a`` and ``w_m`` are (n + 1, n + 1) weights of the b-mark,
+    a-mark and mark-move jumps.  The sweep runs over k = ka + kb
+    (descending), with ka descending inside a diagonal so the mark-move
+    target is always ready; a zero weight skips its (possibly off-grid)
+    target.
     """
-    _check_state(n, 0, 0)
-    table = np.zeros((n + 1, n + 1))
+    n = len(w_b) - 1
+    w_b, w_a, w_m = w_b.tolist(), w_a.tolist(), w_m.tolist()
+    table = [[0.0] * (n + 1) for _ in range(n + 1)]
     for k in range(2 * n - 1, -1, -1):
-        lo = max(0, k - n)
-        for ka in range(min(n, k), lo - 1, -1):
+        for ka in range(min(n, k), max(0, k - n) - 1, -1):
             kb = k - ka
-            row = transition_row(n, a, ka, kb)
-            q = row.p_b_up + row.p_a_up + row.p_move
+            wb, wa, wm = w_b[ka][kb], w_a[ka][kb], w_m[ka][kb]
             acc = 1.0
-            if row.p_b_up:
-                acc += row.p_b_up * table[ka, kb + 1]
-            if row.p_a_up:
-                acc += row.p_a_up * table[ka + 1, kb]
-            if row.p_move:
-                acc += row.p_move * table[ka + 1, kb - 1]
-            table[ka, kb] = acc / q
-    return table
+            if wb:
+                acc += wb * table[ka][kb + 1]
+            if wa:
+                acc += wa * table[ka + 1][kb]
+            if wm:
+                acc += wm * table[ka + 1][kb - 1]
+            table[ka][kb] = acc / (wb + wa + wm)
+    return np.array(table)
+
+
+def expected_absorption(n: int, a: float) -> np.ndarray:
+    """Expected steps to reach (n, n) from every grid state, exact."""
+    _check_state(n, 0, 0)
+    return _backward_sweep(*_jump_law(n, a, *np.indices((n + 1, n + 1))))
 
 
 def absorption_bound_table(n: int, a: float) -> np.ndarray:
@@ -105,23 +119,8 @@ def absorption_bound_table(n: int, a: float) -> np.ndarray:
     """
     _check_state(n, 0, 0)
     b = 2.0 - a
-    table = np.zeros((n + 1, n + 1))
-    for k in range(2 * n - 1, -1, -1):
-        lo = max(0, k - n)
-        for ka in range(min(n, k), lo - 1, -1):
-            kb = k - ka
-            w_b = b * (n - kb)
-            w_a = a * (n - ka)
-            w_m = (b - 1.0) * (n - ka) if kb >= 1 else 0.0
-            acc = 1.0
-            if w_b:
-                acc += w_b * table[ka, kb + 1]
-            if w_a:
-                acc += w_a * table[ka + 1, kb]
-            if w_m:
-                acc += w_m * table[ka + 1, kb - 1]
-            table[ka, kb] = acc / (w_b + w_a + w_m)
-    return table
+    ka, kb = np.indices((n + 1, n + 1))
+    return _backward_sweep(b * (n - kb), a * (n - ka), (b - 1.0) * (n - ka) * (kb >= 1))
 
 
 def phase2_time_scale(n: int, a: float, c1: float) -> float:
@@ -195,18 +194,12 @@ def simulate_absorption(n: int, a: float, start: TypeCount | tuple[int, int],
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = stream_rng(seed, STREAM_TYPECHAIN)
-    b = 2.0 - a
-    denom = float((2 * n) ** 2)
     ka = np.full(trials, ka0, dtype=np.int64)
     kb = np.full(trials, kb0, dtype=np.int64)
     steps = np.zeros(trials, dtype=np.int64)
     active = np.flatnonzero((ka < n) | (kb < n))
     while active.size:
-        cka, ckb = ka[active], kb[active]
-        k1 = cka + ckb + 1
-        p_b = 2.0 * a * b * (n - ckb) * k1 / denom
-        p_a = 2.0 * a * a * (n - cka) * k1 / denom
-        p_m = 2.0 * a * (b - a) * (n - cka) * ckb / denom
+        p_b, p_a, p_m = _jump_law(n, a, ka[active], kb[active])
         q = p_b + p_a + p_m
         steps[active] += rng.geometric(q)
         u = rng.random(active.size) * q

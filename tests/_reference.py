@@ -19,12 +19,18 @@ from biased_shuffle.chain_core import MoveRecord
 from biased_shuffle.marking import (
     MarkingState,
     mark_threshold,
-    phase1_accept_probability,
+    mixed_rule,
+    pair_rule,
+    phase1_rule,
     phase1_step,
-    phase2_mixed_mark_probability,
-    phase2_pair_accept_probability,
-    phase2_solo_accept_probability,
+    solo_rule,
 )
+
+
+def probability(rule) -> float:
+    """Acceptance probability of a marking rule's (numerator, denominator)."""
+    num, den = rule
+    return num / den
 
 
 @dataclass
@@ -132,6 +138,7 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
     n = deck // 2
     profile = make_bias_profile(n, a)
     probs = [profile.hand_probability(c) for c in range(deck)]
+    w = profile.weight
     threshold = mark_threshold(deck, c1)
     cache: dict[frozenset, dict] = {}
 
@@ -168,30 +175,30 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
 
                     if not phase2:
                         if not m_r and not m_l:
-                            acc = phase1_accept_probability(profile, r, l)
+                            acc = probability(phase1_rule(a, w(r), w(l)))
                             put(marked | {r}, acc)
                             put(marked, 1.0 - acc)
                         else:
                             put(marked, 1.0)
                     elif r == l:
                         if not m_r:
-                            acc = phase2_solo_accept_probability(profile, r)
+                            acc = probability(solo_rule(a, w(r)))
                             put(marked | {r}, acc)
                             put(marked, 1.0 - acc)
                         else:
                             put(marked, 1.0)
                     elif not m_r and m_l:
-                        acc = phase2_mixed_mark_probability(profile, l)
+                        acc = probability(mixed_rule(a, w(l)))
                         put(marked | {r}, acc)
                         put((marked - {l}) | {r}, 1.0 - acc)
                     elif m_r and not m_l:
-                        acc = phase2_mixed_mark_probability(profile, r)
+                        acc = probability(mixed_rule(a, w(r)))
                         put(marked | {l}, acc)
                         put((marked - {r}) | {l}, 1.0 - acc)
                     elif m_r and m_l:
                         u = pair_map(marked).get((r, l))
                         if u is not None:
-                            acc = phase2_pair_accept_probability(profile, u, r, l)
+                            acc = probability(pair_rule(a, w(u), w(r), w(l)))
                             put(marked | {u}, acc)
                             put(marked, 1.0 - acc)
                         else:
@@ -222,6 +229,7 @@ def phase1_path_distribution(a: float, steps: int, deck: int = 4):
     n = deck // 2
     profile = make_bias_profile(n, a)
     probs = [profile.hand_probability(c) for c in range(deck)]
+    w = profile.weight
     dist: dict[tuple, float] = defaultdict(float)
 
     def rec(ms: MarkingState, depth: int, mass: float) -> None:
@@ -235,7 +243,7 @@ def phase1_path_distribution(a: float, steps: int, deck: int = 4):
             for l in range(deck):
                 base = mass * probs[r] * probs[l]
                 if not ms.marked[r] and not ms.marked[l]:
-                    acc = phase1_accept_probability(profile, r, l)
+                    acc = probability(phase1_rule(a, w(r), w(l)))
                     branches = [(acc, 0.0), (1.0 - acc, 1.0 - 1e-12)]
                 else:
                     branches = [(1.0, 0.5)]

@@ -12,12 +12,10 @@ from biased_shuffle.bounds import (
     coupon_expectation,
     coupon_variance_bound,
     derangement_count,
-    estimate_fixed_mass,
     lower_bound_sweep,
     sample_touch_picks,
     simulate_walks,
     suggested_threshold,
-    tv_lower_bound,
     uniform_fixed_mass,
     uniform_fixed_pmf,
 )
@@ -154,13 +152,13 @@ class TestWalker:
         op = ea.build_operator(profile)
         dist = ea.evolve(op, ea.point_mass(op), 3)
         exact = ea.state_mass_at_least(op, dist, 1)
-        est = estimate_fixed_mass(profile, 3, 1, 40_000, seed=5)
+        [est] = lower_bound_sweep(profile, [3], 1, 40_000, seed=5)
         assert abs(est.estimate - exact) < 4 * est.stderr
 
     def test_equilibrium_mass_matches_uniform_law(self):
         profile = make_bias_profile(8, 0.5)
         t_eq = ea.theory_time(profile, 3.0)
-        est = estimate_fixed_mass(profile, t_eq, 2, 30_000, seed=6)
+        [est] = lower_bound_sweep(profile, [t_eq], 2, 30_000, seed=6)
         um = uniform_fixed_mass(8, 2)
         assert abs(est.estimate - um) < 4 * max(est.stderr, 1e-4)
 
@@ -181,9 +179,8 @@ class TestLowerBound:
         # the certified quantity must sit under the true distance
         profile = make_bias_profile(3, 0.5)
         op = ea.build_operator(profile)
-        for t in (1, 3, 6, 10):
-            row = tv_lower_bound(profile, t, 1, 40_000, seed=5)
-            exact_tv = ea.tv_distance(ea.evolve(op, ea.point_mass(op), t))
+        for row in lower_bound_sweep(profile, [1, 3, 6, 10], 1, 40_000, seed=5):
+            exact_tv = ea.tv_distance(ea.evolve(op, ea.point_mass(op), row.t))
             assert row.bound <= exact_tv + 4 * max(row.stderr, 1e-4)
 
     def test_suggested_threshold(self):

@@ -10,12 +10,39 @@ from biased_shuffle.chain_core import (
     MoveRecord,
     hands_from_uniforms,
     make_bias_profile,
-    pair_probability,
     sample_hand,
-    sample_hands,
-    step,
     stream_rng,
 )
+from biased_shuffle.marking import MarkingState
+
+
+class _Replay:
+    """Stand-in rng whose random() returns preset values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def boundary_uniforms(n: int, a: float) -> np.ndarray:
+    """Uniforms at the hand law's card boundaries, three ulps either side.
+
+    The boundaries are j a / N inside the type-A block and a/2 + j b / N
+    inside the type-B block.
+    """
+    deck, b = 2 * n, 2.0 - a
+    j = np.arange(n + 1)
+    u = np.concatenate([j * a / deck, a / 2 + j * b / deck])
+    out = [u]
+    for toward in (-1.0, 2.0):
+        v = u
+        for _ in range(3):
+            v = np.nextafter(v, toward)
+            out.append(v)
+    u = np.concatenate(out)
+    return u[(u >= 0.0) & (u < 1.0)]
 
 
 class TestBiasProfile:
@@ -69,7 +96,7 @@ class TestSampling:
     def test_hand_frequencies_match_bias(self):
         p = make_bias_profile(3, 0.5)
         rng = stream_rng(123, 50)
-        draws = sample_hands(p, rng, 100_000)
+        draws = hands_from_uniforms(p, rng.random(100_000))
         counts = np.bincount(draws, minlength=6)
         for c in range(6):
             expect = p.hand_probability(c)
@@ -80,8 +107,8 @@ class TestSampling:
         # both hands land on the same card with probability sum p_i^2 = 1/4
         p = make_bias_profile(2, 1.0)
         rng = stream_rng(9, 51)
-        r = sample_hands(p, rng, 200_000)
-        l = sample_hands(p, rng, 200_000)
+        r = hands_from_uniforms(p, rng.random(200_000))
+        l = hands_from_uniforms(p, rng.random(200_000))
         rate = float((r == l).mean())
         assert abs(rate - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 200_000)
 
@@ -89,16 +116,18 @@ class TestSampling:
         p = make_bias_profile(4, 0.3)
         u = np.linspace(0.0, 1.0 - 1e-9, 4097)
         vec = hands_from_uniforms(p, u)
-
-        class _One:
-            def __init__(self, value):
-                self.value = value
-
-            def random(self):
-                return self.value
-
-        scalar = np.array([sample_hand(p, _One(v)) for v in u])
+        rng = _Replay(u)
+        scalar = np.array([sample_hand(p, rng) for _ in u])
         assert (vec == scalar).all()
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_scalar_and_vector_forms_agree_at_card_boundaries(self, a):
+        for n in range(1, 200):
+            p = make_bias_profile(n, a)
+            u = boundary_uniforms(n, a)
+            rng = _Replay(u.tolist())
+            scalar = [sample_hand(p, rng) for _ in range(u.size)]
+            assert hands_from_uniforms(p, u).tolist() == scalar, f"n={n}"
 
     def test_edge_uniform_values_stay_in_range(self):
         p = make_bias_profile(2, 0.5)
@@ -108,12 +137,13 @@ class TestSampling:
     def test_pair_probability_example(self):
         p = make_bias_profile(2, 0.5)
         # one type-A hand (1/8) and one type-B hand (3/8)
-        assert pair_probability(p, 0, 2) == pytest.approx(0.046875, abs=1e-15)
+        pair = p.hand_probability(0) * p.hand_probability(2)
+        assert pair == pytest.approx(0.046875, abs=1e-15)
 
     def test_ordered_pair_probabilities_total_one(self):
         for a in (0.25, 0.5, 1.0):
             p = make_bias_profile(3, a)
-            total = sum(pair_probability(p, i, j)
+            total = sum(p.hand_probability(i) * p.hand_probability(j)
                         for i in range(6) for j in range(6))
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -154,24 +184,15 @@ class TestDeckState:
 
 
 class TestStep:
-    def test_step_is_pure(self):
-        p = make_bias_profile(2, 0.5)
-        d = DeckState(2)
-        rng = stream_rng(5, 53)
-        new, move = step(d, p, rng)
-        assert d.card_at == list(range(4))
-        assert isinstance(move, MoveRecord)
-        assert move.t == 1
-        assert new.pos_of[move.right] == d.pos_of[move.left] or move.right == move.left
-
     def test_time_counter_threads_through(self):
         p = make_bias_profile(2, 1.0)
-        d = DeckState(2)
+        ms = MarkingState(p, 0.75)
         rng = stream_rng(6, 54)
         for expected_t in range(1, 6):
-            d, move = step(d, p, rng, t=expected_t)
-            assert move.t == expected_t
-        assert d.is_bijection()
+            move = ms.apply_walk_move(rng)
+            assert isinstance(move, MoveRecord)
+            assert move.t == ms.t == expected_t
+        assert ms.deck.is_bijection()
 
     def test_one_step_law_unbiased(self):
         # at a=1 a single step leaves identity w.p. 1/4, else a uniform swap
@@ -180,8 +201,10 @@ class TestStep:
         stay = 0
         trials = 100_000
         for _ in range(trials):
-            d, move = step(DeckState(2), p, rng)
-            if move.right == move.left:
+            d = DeckState(2)
+            right, left = sample_hand(p, rng), sample_hand(p, rng)
+            d.swap_cards(right, left)
+            if d.card_at == list(range(4)):
                 stay += 1
         assert abs(stay / trials - 0.25) < 4 * math.sqrt(0.25 * 0.75 / trials)
 

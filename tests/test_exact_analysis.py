@@ -159,14 +159,15 @@ class TestDistances:
 
 class TestMixingTime:
     def test_minimality(self):
-        op = build_operator(make_bias_profile(2, 1.0))
-        for eps in (0.5, 0.25, 0.1):
-            for metric in ("tv", "separation"):
-                t = mixing_time(op, eps, metric=metric)
-                fn = tv_distance if metric == "tv" else separation_distance
-                assert fn(evolve(op, point_mass(op), t)) <= eps
-                if t > 0:
-                    assert fn(evolve(op, point_mass(op), t - 1)) > eps
+        for deck, a in ((2, 1.0), (4, 1.0), (4, 0.5), (6, 0.25), (6, 1.0)):
+            op = build_operator(make_bias_profile(deck // 2, a))
+            for eps in (0.5, 0.25, 0.1):
+                for metric in ("tv", "separation"):
+                    t = mixing_time(op, eps, metric=metric)
+                    fn = tv_distance if metric == "tv" else separation_distance
+                    assert fn(evolve(op, point_mass(op), t)) <= eps
+                    if t > 0:
+                        assert fn(evolve(op, point_mass(op), t - 1)) > eps
 
     @pytest.mark.parametrize("deck", [4, 6])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])

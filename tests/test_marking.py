@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from _reference import build_assignment, full_scheme_dp, phase1_path_distribution
+from _reference import (
+    build_assignment,
+    full_scheme_dp,
+    phase1_path_distribution,
+    probability,
+)
 from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
@@ -26,13 +31,13 @@ from biased_shuffle.marking import (
     factorization_check,
     gap_correlation_report,
     mark_threshold,
-    phase1_accept_probability,
+    mixed_rule,
+    pair_rule,
     phase1_marking_rate,
+    phase1_rule,
     phase1_step,
-    phase2_mixed_mark_probability,
-    phase2_pair_accept_probability,
-    phase2_solo_accept_probability,
     phase2_step,
+    solo_rule,
     run_to_full_marking,
     uniformity_test,
 )
@@ -40,6 +45,23 @@ from biased_shuffle.type_chain import transition_row
 
 H4 = make_bias_profile(2, 0.5)
 U4 = make_bias_profile(2, 1.0)
+
+
+def phase1_p(profile, r, l):
+    return probability(phase1_rule(profile.a, profile.weight(r), profile.weight(l)))
+
+
+def solo_p(profile, u):
+    return probability(solo_rule(profile.a, profile.weight(u)))
+
+
+def mixed_p(profile, marked_card):
+    return probability(mixed_rule(profile.a, profile.weight(marked_card)))
+
+
+def pair_p(profile, u, r, l):
+    return probability(pair_rule(profile.a, profile.weight(u), profile.weight(r),
+                                 profile.weight(l)))
 
 
 class TestProbabilityHelpers:
@@ -55,20 +77,20 @@ class TestProbabilityHelpers:
 
     def test_phase1_acceptance(self):
         # weights at a = 1/2 are 1/2 for type A and 3/2 for type B
-        assert phase1_accept_probability(H4, 0, 1) == pytest.approx(1.0)
-        assert phase1_accept_probability(H4, 0, 2) == pytest.approx(1 / 3)
-        assert phase1_accept_probability(H4, 3, 2) == pytest.approx(1 / 9)
-        assert phase1_accept_probability(U4, 1, 3) == pytest.approx(1.0)
+        assert phase1_p(H4, 0, 1) == pytest.approx(1.0)
+        assert phase1_p(H4, 0, 2) == pytest.approx(1 / 3)
+        assert phase1_p(H4, 3, 2) == pytest.approx(1 / 9)
+        assert phase1_p(U4, 1, 3) == pytest.approx(1.0)
 
     def test_phase2_acceptance(self):
-        assert phase2_solo_accept_probability(H4, 1) == pytest.approx(1.0)
-        assert phase2_solo_accept_probability(H4, 2) == pytest.approx(1 / 3)
-        assert phase2_mixed_mark_probability(H4, 0) == pytest.approx(1.0)
-        assert phase2_mixed_mark_probability(H4, 3) == pytest.approx(1 / 3)
+        assert solo_p(H4, 1) == pytest.approx(1.0)
+        assert solo_p(H4, 2) == pytest.approx(1 / 3)
+        assert mixed_p(H4, 0) == pytest.approx(1.0)
+        assert mixed_p(H4, 3) == pytest.approx(1 / 3)
         # u of weight w(u) inherits w(u)/w(r)w(l) scaled by a
-        assert phase2_pair_accept_probability(H4, 0, 1, 2) == pytest.approx(1 / 3)
-        assert phase2_pair_accept_probability(H4, 2, 3, 0) == pytest.approx(1.0)
-        assert phase2_pair_accept_probability(H4, 2, 3, 2) == pytest.approx(1 / 3)
+        assert pair_p(H4, 0, 1, 2) == pytest.approx(1 / 3)
+        assert pair_p(H4, 2, 3, 0) == pytest.approx(1.0)
+        assert pair_p(H4, 2, 3, 2) == pytest.approx(1 / 3)
 
     def test_acceptances_never_exceed_one(self):
         # pair probabilities only arise with r of u's own type, where they
@@ -77,11 +99,11 @@ class TestProbabilityHelpers:
             deck, n = profile.deck_size, profile.n
             for r in range(deck):
                 for l in range(deck):
-                    assert 0 < phase1_accept_probability(profile, r, l) <= 1
+                    assert 0 < phase1_p(profile, r, l) <= 1
                     for u in range(deck):
                         if (u < n) != (r < n) or l == r:
                             continue
-                        p = phase2_pair_accept_probability(profile, u, r, l)
+                        p = pair_p(profile, u, r, l)
                         assert 0 < p <= 1 + 1e-12
                         assert p == pytest.approx(
                             profile.a / profile.weight(l), abs=1e-15)

@@ -1,11 +1,13 @@
-"""SHA-256 digests of marking outputs, pinned across versions of the code.
+"""SHA-256 digests of engine outputs, pinned across versions of the code.
 
-Criterion 11 compares repeat runs of one version.  These digests were taken
-from the engines before the closed-form pair rule replaced the stored pair
-assignment, so a change that alters a random draw, its order or any
-marking decision shows up here even when every statistical check still
-passes.  Update a digest only for a change that is meant to alter outputs,
-and say so where the change is recorded.
+Criterion 11 compares repeat runs of one version.  The marking digests were
+taken from the engines before the closed-form pair rule replaced the stored
+pair assignment; the type-count chain and ``exact`` digests were taken
+before the chain's jump law and backward sweep were each stated once.  So a
+change that alters a random draw, its order, any marking decision or any
+floating-point operation order shows up here even when every statistical
+check still passes.  Update a digest only for a change that is meant to
+alter outputs, and say so where the change is recorded.
 """
 import hashlib
 
@@ -15,6 +17,11 @@ import pytest
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
 from biased_shuffle.marking import MarkingCensus, bulk_marking_runs, run_to_full_marking
+from biased_shuffle.type_chain import (
+    absorption_bound_table,
+    expected_absorption,
+    simulate_absorption,
+)
 
 
 def _digest(*items) -> str:
@@ -106,6 +113,73 @@ CLI = {
         "d1fccc4f0dd25f0e90f1622fd6b1e4412dd2811ade2102e52ac93561c5a85402"),
 }
 
+ABSORPTION = {
+    "n128-a0.5": (
+        dict(n=128, a=0.5, start=(96, 96), trials=4000, seed=4242),
+        "70725fbc412b5259566accee84bd570b12d199c078de0db39ccc18be2e848f06"),
+    "n128-a1": (
+        dict(n=128, a=1.0, start=(96, 96), trials=4000, seed=4242),
+        "d1bbe1aa53a503107805140ef70ebe486f8c2033eed53126b132a37d5f14d9ff"),
+    "n7-a0.3-origin": (
+        dict(n=7, a=0.3, start=(0, 0), trials=4000, seed=4242),
+        "7df5fed094038750bb5648f2b31b37a8f234a8f418c272ae2e4067ef0ae70ece"),
+}
+
+# (n, a): (expected_absorption, absorption_bound_table)
+TABLES = {
+    (1, 0.3): (
+        "0b3acd9e8d005749d7db16cd34e018a1d0a5a32b9169db168f0e25423db2ea21",
+        "c794d036888c6f9a968b521328ec3747e0eb86965bfdd831e17476037b2bfc02"),
+    (1, 0.5): (
+        "5f4c1bea25b3eae855be9513c277e023f8e5db4a9fec25e043a4e5ac6974dd5e",
+        "fd9669f78f3990dd583d7c7bb1bf624045cab52ed892641140dd8a6500b3c9f7"),
+    (1, 1.0): (
+        "4944b75df43498d2318067eefaf53a9faa29cac3315ceb71c415369332176355",
+        "25c28c6baa0a6c0f720f56d2a47fa89ce6b9bf3556f2ee559230b6ad381265b8"),
+    (5, 0.3): (
+        "8318e1c739939f2aebe5a6de5efef0d271333c53d12dbddd8ae278d12816fe07",
+        "608a004bdd1651a98c07d5daf998aedbf357dd9eda7bb5a10a44ddad608ede13"),
+    (5, 0.5): (
+        "f44d1d8f95d6f08df6945371a573448fedf78fd944a297f972e387cfbd67313c",
+        "9cb1049b9dec39c2a3dbe5d1b7d08a81b5f1d1183eeb18250a034be29e5e4f0c"),
+    (5, 1.0): (
+        "dabe356b96e3717f4a2e09ae4e35647995d7e98cb2e8951874832324195e4ad4",
+        "569f894d88c501d8e2fa81bd11b0736b629f3d2a08123982f7cbe5151e768d2a"),
+    (64, 0.3): (
+        "57dd3bffa34540af7e4c3de4d2ad19a61587856c8188d6c4f1ce8f51069343f6",
+        "6837bde8f4466184d82d0c90cd7dfe520d30e23f7b8fe6de0bd2a6ea719b3692"),
+    (64, 0.5): (
+        "9babfe65933d4df07e7101639a8281b4c2b14289efccf9408765c18390e2f7a8",
+        "0f345516c0b401dd71dcc0b9a7ab262c1093407b4e7a9ec713a9e2a74e7770c6"),
+    (64, 1.0): (
+        "85e27dbd04cc0a5c7e6c97e71f7297bba2695d54304850671a0830be4fefa535",
+        "a40da6a5ad5ff608036e3d5cb6a3bc26b724d9e2407a14661c64d3fcae830ed9"),
+    (200, 0.3): (
+        "0d4d66624d01b5455e985ad100052d64bcffeb04b61dd3fd26027d3120062aa6",
+        "59a6c2a0fb8f7149b1c90e31886b91a0f2ca3b6a3493894226f9136048dacc3a"),
+    (200, 0.5): (
+        "a8dc2c5d06c56da1ce885a43cd2de722d7b565f2929b44d991d2750b06dd8b58",
+        "ead817ec744799df9ef3e317bd60ccd3f81869de13aa9e3dd235155bf4f317be"),
+    (200, 1.0): (
+        "115f932eee512912d5729ae5d73bbda048a22fcf5a3eb6075892d10053027d14",
+        "1c0ae38250225197c35736eb6d876cf3d6cb66e4cd8eefef353f97b45620c37b"),
+}
+
+TABLE_CLI = {
+    "typechain-rows": (
+        "typechain --mode rows".split(),
+        "0b8ecdc66fd037bc7d06b0cfefdbea4d374ca80c72c6f92aa9625f396ad4a0b3"),
+    "typechain-absorption": (
+        "typechain --mode absorption".split(),
+        "27add6b35938d203b1c26c509cb595bc75105d0803754fc49cb66bc9bfcff151"),
+    "typechain-bound": (
+        "typechain --mode bound".split(),
+        "0b3ad12446e22c7e0a4756861615ab8d6bc5a6fb162883366a9c20e94edda4d9"),
+    "exact-deck6": (
+        "exact --deck 6 -a 0.5".split(),
+        "82946b815cc94fade760d6cc8a2aeb04e5dcf5260c10a3154faf5102e80ec044"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(BULK))
 def test_bulk_engine_bytes(name):
@@ -122,4 +196,22 @@ def test_scalar_engine_bytes(name):
 @pytest.mark.parametrize("name", sorted(CLI))
 def test_marking_cli_bytes(capsys, name):
     argv, expected = CLI[name]
+    assert cli_digest(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ABSORPTION))
+def test_absorption_bytes(name):
+    kwargs, expected = ABSORPTION[name]
+    assert _digest(simulate_absorption(**kwargs)) == expected
+
+
+@pytest.mark.parametrize("n,a", sorted(TABLES))
+def test_type_chain_table_bytes(n, a):
+    got = (_digest(expected_absorption(n, a)), _digest(absorption_bound_table(n, a)))
+    assert got == TABLES[n, a]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CLI))
+def test_table_cli_bytes(capsys, name):
+    argv, expected = TABLE_CLI[name]
     assert cli_digest(capsys, argv) == expected
