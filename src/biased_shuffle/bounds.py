@@ -12,8 +12,8 @@ at which the untouched pool first drops to K is the ceiling of half the
 pick index of the decisive touch.
 
 All Monte Carlo here draws from streams derived with :func:`stream_rng`;
-walk trials are processed in fixed-size blocks, one stream per block, so
-results are a deterministic function of (seed, trials, block_size) and
+walk trials are processed in blocks of ``DEFAULT_BLOCK_SIZE``, one stream
+per block, so results are a deterministic function of (seed, trials) and
 estimates at different checkpoint times reuse the same walks.
 """
 from __future__ import annotations
@@ -122,8 +122,7 @@ class WalkSimResult(NamedTuple):
 
 
 def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
-                   *, touch_threshold: int | None = None,
-                   block_size: int = DEFAULT_BLOCK_SIZE) -> WalkSimResult:
+                   *, touch_threshold: int | None = None) -> WalkSimResult:
     """Run walk trials, reading A_t at each checkpoint and touch times.
 
     Checkpoints share trajectories, so estimates across t_values are coupled
@@ -150,10 +149,10 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     else:
         step_cap = t_max
 
-    for start in range(0, trials, block_size):
-        stop = min(start + block_size, trials)
+    for start in range(0, trials, DEFAULT_BLOCK_SIZE):
+        stop = min(start + DEFAULT_BLOCK_SIZE, trials)
         bsz = stop - start
-        rng = stream_rng(seed, STREAM_WALK, start // block_size)
+        rng = stream_rng(seed, STREAM_WALK, start // DEFAULT_BLOCK_SIZE)
         rows = np.arange(bsz)
         pos = np.tile(np.arange(deck, dtype=np.int16), (bsz, 1))
         cnt = np.full(bsz, n, dtype=np.int16)
@@ -190,10 +189,8 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             pos[rows, right] = p_l
             pos[rows, left] = p_r
             if touching:
-                for ordinal, hand in ((1, right), (2, left)):
-                    fresh = is_ar if ordinal == 1 else is_al
-                    fresh = fresh & untouched[rows, np.minimum(hand, n - 1)] & (hand < n)
-                    idx = np.flatnonzero(fresh)
+                for ordinal, hand, is_a in ((1, right, is_ar), (2, left, is_al)):
+                    idx = np.flatnonzero(is_a & untouched[rows, np.minimum(hand, n - 1)])
                     if idx.size == 0:
                         continue
                     untouched[idx, hand[idx]] = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,12 @@ from .chain_core import BiasProfile
 
 # Past 8 cards the dense state vector stops being a laptop object.
 DEFAULT_MAX_DECK = 8
+
+# Largest exact_bytes estimate that build_operator accepts: deck 10 needs
+# about 1.3 GB, deck 12 about 220 GB.
+EXACT_BYTE_BUDGET = 2 * 1024**3
+
+MAX_SCAN_STEPS = 10**7
 
 
 class CapacityError(ValueError):
@@ -82,8 +88,10 @@ class TransitionOperator:
     profile: BiasProfile
     stay: float                 # mass on the identity move
     weights: np.ndarray         # (T,) unordered transposition masses 2 p_i p_j
-    pairs: list[tuple[int, int]]
     table: np.ndarray           # (N!, T) image state under each transposition
+    # rows distance_scan has reached so far, and the distribution at the last
+    scanned: list = field(default_factory=list, init=False, repr=False)
+    scan_head: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def state_count(self) -> int:
@@ -95,14 +103,15 @@ class TransitionOperator:
             out += w * dist[self.table[:, col]]
         return out
 
-    def transition_mass(self, x: int, y: int) -> float:
-        """Exact one-step mass sent from state x to state y."""
-        if x == y:
-            return self.stay
-        for col in range(self.table.shape[1]):
-            if self.table[x, col] == y:
-                return float(self.weights[col])
-        return 0.0
+
+def exact_bytes(deck: int) -> int:
+    """Estimated peak bytes of :func:`build_operator` for a deck.
+
+    Per state: the listed permutation as a Python tuple plus its int8 row,
+    the int32 neighbour table row and a few float64 distribution entries.
+    """
+    pairs = deck * (deck - 1) // 2
+    return math.factorial(deck) * (56 + 9 * deck + 4 * pairs + 8 * 4)
 
 
 def build_operator(profile: BiasProfile, max_deck: int = DEFAULT_MAX_DECK) -> TransitionOperator:
@@ -111,6 +120,11 @@ def build_operator(profile: BiasProfile, max_deck: int = DEFAULT_MAX_DECK) -> Tr
     if deck > max_deck:
         raise CapacityError(
             f"deck of {deck} cards exceeds exact-mode limit of {max_deck}")
+    need = exact_bytes(deck)
+    if need > EXACT_BYTE_BUDGET:
+        raise CapacityError(
+            f"exact mode for a deck of {deck} cards needs about {need / 1e9:.3g} GB, "
+            f"over the {EXACT_BYTE_BUDGET / 1e9:.3g} GB budget")
     perms = all_perms(deck)
     hand = profile.weights() / deck
     pairs = [(i, j) for i in range(deck) for j in range(i + 1, deck)]
@@ -122,8 +136,7 @@ def build_operator(profile: BiasProfile, max_deck: int = DEFAULT_MAX_DECK) -> Tr
         table[:, col] = encode_many(relabel[perms])
         weights[col] = 2.0 * hand[i] * hand[j]
     stay = float(np.sum(hand * hand))
-    return TransitionOperator(profile=profile, stay=stay, weights=weights,
-                              pairs=pairs, table=table)
+    return TransitionOperator(profile=profile, stay=stay, weights=weights, table=table)
 
 
 def point_mass(op: TransitionOperator, state: int = 0) -> np.ndarray:
@@ -153,31 +166,42 @@ def separation_distance(dist: np.ndarray) -> float:
     return min(1.0, max(0.0, sep))
 
 
-_METRICS = {"tv": tv_distance, "separation": separation_distance}
+_METRIC_COLUMN = {"tv": 1, "separation": 2}
+
+
+def distance_scan(op: TransitionOperator):
+    """Yield (t, tv, separation) for t = 0, 1, 2, ... from the identity start.
+
+    Rows are kept on ``op``, so a later scan replays them and evolves the
+    distribution only past the furthest row an earlier scan reached.  Asking
+    past t = MAX_SCAN_STEPS raises RuntimeError.
+    """
+    t = 0
+    while True:
+        if t == len(op.scanned):
+            if t > MAX_SCAN_STEPS:
+                raise RuntimeError(f"distance scan exceeded {MAX_SCAN_STEPS} steps")
+            op.scan_head = point_mass(op) if t == 0 else op.apply(op.scan_head)
+            op.scanned.append(
+                (t, tv_distance(op.scan_head), separation_distance(op.scan_head)))
+        yield op.scanned[t]
+        t += 1
 
 
 def mixing_time(op: TransitionOperator, eps: float,
                 metric: str = "separation") -> int:
     """Smallest t with distance(t) <= eps from the identity start.
 
-    Evolves one step at a time and stops at the first crossing, so no
+    Reads :func:`distance_scan` up to the first crossing, so no
     monotonicity of the distance in t is assumed.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     try:
-        dist_fn = _METRICS[metric]
+        col = _METRIC_COLUMN[metric]
     except KeyError:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}") from None
-
-    dist = point_mass(op)
-    t = 0
-    while dist_fn(dist) > eps:
-        if t >= 10**7:
-            raise RuntimeError("mixing time search exceeded 1e7 steps")
-        dist = op.apply(dist)
-        t += 1
-    return t
+        raise ValueError(f"metric must be one of {sorted(_METRIC_COLUMN)}") from None
+    return next(row[0] for row in distance_scan(op) if row[col] <= eps)
 
 
 @dataclass
@@ -201,36 +225,11 @@ class DistanceCurve:
 
 def cutoff_profile(op: TransitionOperator, t_values) -> DistanceCurve:
     """Evaluate both distances at each requested step count."""
-    wanted = sorted(set(int(t) for t in t_values))
-    if wanted and wanted[0] < 0:
+    wanted = set(int(t) for t in t_values)
+    if wanted and min(wanted) < 0:
         raise ValueError("t values must be non-negative")
-    rows = []
-    vec = point_mass(op)
-    cur = 0
-    for t in wanted:
-        vec = evolve(op, vec, t - cur)
-        cur = t
-        rows.append((t, tv_distance(vec), separation_distance(vec)))
-    return DistanceCurve(rows=rows)
-
-
-def fixed_a_counts(deck: int) -> np.ndarray:
-    """For every state, the number of type-A cards sitting at their home slot.
-
-    Card labels below deck/2 are type A; a card is a fixed point when its
-    position equals its label.
-    """
-    perms = all_perms(deck)
-    half = deck // 2
-    home = np.arange(deck, dtype=np.int8)
-    return ((perms == home) & (home < half)).sum(axis=1).astype(np.int64)
-
-
-def state_mass_at_least(op: TransitionOperator, dist: np.ndarray,
-                        threshold: int) -> float:
-    """Mass of states with at least ``threshold`` type-A fixed points."""
-    counts = fixed_a_counts(op.profile.deck_size)
-    return float(dist[counts >= threshold].sum())
+    rows = itertools.islice(distance_scan(op), max(wanted, default=-1) + 1)
+    return DistanceCurve(rows=[row for row in rows if row[0] in wanted])
 
 
 def theory_time(profile: BiasProfile, multiple: float = 1.0) -> int:

@@ -26,9 +26,13 @@ be checked exactly at any step with :func:`factorization_check`.
 
 Two engines share the same law: a scalar per-trajectory engine carrying the
 full factorization state, and a batched numpy engine used for large Monte
-Carlo runs (it skips phi/psi, which only matter for the exactness checks).
-The batched engine draws from a single stream derived from (seed, tag), so
-its output is a deterministic function of (seed, trials).
+Carlo runs.  The batched engine keeps per run only what the law reads: card
+positions, the marked set, the marked and type-A counts and the lowest
+marked card of each type.  It skips phi/psi, which only matter for the
+exactness checks, derives the phase from the marked count and writes a
+run's deck once, when the run finishes.  It draws from a single stream
+derived from (seed, tag), so its output is a deterministic function of
+(seed, trials).
 """
 from __future__ import annotations
 
@@ -126,19 +130,16 @@ class MarkingState:
     def __init__(self, profile: BiasProfile, c1: float, always_mark: bool = False):
         deck = profile.deck_size
         self.profile = profile
-        self.c1 = c1
         self.threshold = mark_threshold(deck, c1)
         self.always_mark = always_mark
         self.deck = DeckState(profile.n)
         self.marked = [False] * deck
         self.k = 0
         self.ka = 0
-        self.kb = 0
         self.t = 0
         self.phi = list(range(deck))
         self.phi_inv = list(range(deck))
         self.psi = list(range(deck))
-        self.phase2 = False
         # mark_times[k] is the step at which the marked count first hit k.
         self.mark_times: list[int | None] = [0] + [None] * deck
 
@@ -149,6 +150,15 @@ class MarkingState:
     @property
     def done(self) -> bool:
         return self.k == self.profile.deck_size
+
+    @property
+    def kb(self) -> int:
+        return self.k - self.ka
+
+    @property
+    def phase2(self) -> bool:
+        # marks only add to k, so phase two starts for good at the threshold
+        return self.k >= self.threshold
 
     def _accept(self, rule: tuple[float, float], rng: np.random.Generator) -> bool:
         """Coin for an acceptance ``rule``'s (numerator, denominator)."""
@@ -183,15 +193,8 @@ class MarkingState:
     def _record_mark(self, card: int) -> None:
         self.marked[card] = True
         self.k += 1
-        if card < self.profile.n:
-            self.ka += 1
-        else:
-            self.kb += 1
+        self.ka += int(card < self.profile.n)
         self.mark_times[self.k] = self.t
-
-    def _enter_phase2_if_due(self) -> None:
-        if self.k >= self.threshold:
-            self.phase2 = True
 
     # -- phase two bookkeeping helpers ------------------------------------
 
@@ -213,7 +216,6 @@ class MarkingState:
         self.marked[dst] = True
         n = self.profile.n
         self.ka += int(dst < n) - int(src < n)
-        self.kb += int(dst >= n) - int(src >= n)
 
 
 def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
@@ -234,7 +236,6 @@ def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) ->
         ms._record_mark(right)
     else:
         ms._move_update(right, left)
-    ms._enter_phase2_if_due()
 
 
 def phase2_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
@@ -372,20 +373,24 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
                       record_first_k: int | None = None,
-                      census: MarkingCensus | None = None,
-                      max_steps: int | None = None) -> BulkMarkingResult:
+                      census: MarkingCensus | None = None) -> BulkMarkingResult:
     """Run many marking trajectories in one vectorised sweep.
 
-    Besides the deck and the marked set, each run keeps ``low``, the lowest
-    marked label of each type (``deck`` while none is marked).  A pair draw
-    can only hit an assigned card when the right hand holds ``low`` of its
-    type, so :func:`assigned_card` runs on those few rows alone.
+    Each run keeps only what the law reads: ``pos_of`` (the position of
+    every card), the marked set, the marked count ``k``, the type-A count
+    ``ka`` and ``low``, the lowest marked label of each type (``deck`` while
+    none is marked).  Marks only add to ``k``, so a run is in phase two
+    exactly while ``k >= threshold``; the type-B count is ``k - ka``; and a
+    run's deck is written once, as the inverse of its ``pos_of`` row, when
+    it finishes.  A pair draw can only hit an assigned card when the right
+    hand holds ``low`` of its type, so :func:`assigned_card` runs on those
+    few rows alone.
     """
     n = profile.n
     deck = profile.deck_size
     a = profile.a
     threshold = mark_threshold(deck, c1)
-    cap = default_step_cap(deck) if max_steps is None else max_steps
+    cap = default_step_cap(deck)
     if trials < 1:
         raise ValueError("trials must be positive")
     if record_first_k is not None and not 1 <= record_first_k <= deck:
@@ -393,13 +398,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     rng = stream_rng(seed, STREAM_MARKING)
 
     labels = np.arange(deck, dtype=np.int16)
-    card_at = np.tile(labels, (trials, 1))
-    pos_of = card_at.copy()
+    pos_of = np.tile(labels, (trials, 1))
     marked = np.zeros((trials, deck), dtype=bool)
     k = np.zeros(trials, dtype=np.int16)
     ka = np.zeros(trials, dtype=np.int16)
-    kb = np.zeros(trials, dtype=np.int16)
-    phase2 = np.zeros(trials, dtype=bool)
     low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
 
@@ -418,51 +420,37 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         return u * den < num
 
     t = 0
-    while card_at.shape[0]:
+    while pos_of.shape[0]:
         t += 1
         if t > cap:
             raise RuntimeError(f"batched marking exceeded {cap} steps; "
-                               f"{card_at.shape[0]} runs unfinished")
-        batch = card_at.shape[0]
+                               f"{pos_of.shape[0]} runs unfinished")
+        batch = pos_of.shape[0]
         rows = np.arange(batch)
         right = hands_from_uniforms(profile, rng.random(batch))
         left = hands_from_uniforms(profile, rng.random(batch))
-        u_acc = rng.random(batch)
+        # always_mark zeroes the coins; each rule's numerator is positive,
+        # so 0 * den < num accepts
+        u_acc = rng.random(batch) * (not always_mark)
 
         p_r = pos_of[rows, right]
-        p_l = pos_of[rows, left]
-        pos_of[rows, right] = p_l
+        pos_of[rows, right] = pos_of[rows, left]
         pos_of[rows, left] = p_r
-        card_at[rows, p_l] = right
-        card_at[rows, p_r] = left
 
         m_r = marked[rows, right]
         m_l = marked[rows, left]
         w_r = wt[right]
         w_l = wt[left]
-        in2 = phase2
-        in1 = ~in2
-        alive0 = k < deck
-        ka_pre = ka.copy() if census is not None else None
-        kb_pre = kb.copy() if census is not None else None
-
-        trig1 = in1 & ~m_r & ~m_l
-        if always_mark:
-            acc1 = trig1
-        else:
-            acc1 = trig1 & coin(u_acc, phase1_rule(a, w_r, w_l))
+        in2 = k >= threshold
+        acc1 = ~in2 & ~m_r & ~m_l & coin(u_acc, phase1_rule(a, w_r, w_l))
 
         same = right == left
-        case1 = in2 & same & ~m_r
+        ok1 = in2 & same & ~m_r & coin(u_acc, solo_rule(a, w_r))
         case2 = in2 & ~same & ~m_r & m_l
         case3 = in2 & ~same & m_r & ~m_l
         case4 = in2 & ~same & m_r & m_l
-        if always_mark:
-            ok1, ok2, ok3 = case1, case2, case3
-        else:
-            ok1 = case1 & coin(u_acc, solo_rule(a, w_r))
-            ok2 = case2 & coin(u_acc, mixed_rule(a, w_l))
-            ok3 = case3 & coin(u_acc, mixed_rule(a, w_r))
+        ok2 = case2 & coin(u_acc, mixed_rule(a, w_l))
+        ok3 = case3 & coin(u_acc, mixed_rule(a, w_r))
         mv2 = case2 & ~ok2
         mv3 = case3 & ~ok3
 
@@ -470,32 +458,28 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         cand = np.flatnonzero(case4 & (low[rows, (right >= n).astype(np.intp)] == right))
         if cand.size:
             u = assigned_card(marked[cand], n, right[cand], left[cand])
-            ok4 = u >= 0
-            if not always_mark:
-                ok4 &= coin(u_acc[cand],
-                            pair_rule(a, wt[u], w_r[cand], w_l[cand]))
+            ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
             u_card[cand[ok4]] = u[ok4]
 
         new_mark = np.where(acc1 | ok1 | ok2, right, np.where(ok3, left, u_card))
         do_mark = new_mark >= 0
 
         if census is not None:
-            rows1 = np.flatnonzero(in1)
+            # the counters still hold their values from before this step
+            cells = ka.astype(np.int64) * (n + 1) + (k - ka)
+            rows1 = np.flatnonzero(~in2)
             if rows1.size:
-                cells1 = ka_pre[rows1].astype(np.int64) * (n + 1) + kb_pre[rows1]
-                np.add.at(census.phase1_steps, cells1, 1)
+                np.add.at(census.phase1_steps, cells[rows1], 1)
                 marked1 = acc1[rows1]
                 if marked1.any():
-                    np.add.at(census.phase1_marks, cells1[marked1], 1)
-            rows2 = np.flatnonzero(in2 & alive0)
+                    np.add.at(census.phase1_marks, cells[rows1[marked1]], 1)
+            rows2 = np.flatnonzero(in2 & (k < deck))
             if rows2.size:
                 kind = np.full(batch, STAY, dtype=np.int64)
                 kind[do_mark & (new_mark >= n)] = B_UP
-                kind[do_mark & (new_mark < n) & (new_mark >= 0)] = A_UP
-                move_to_a = (mv2 & (right < n)) | (mv3 & (left < n))
-                kind[move_to_a] = MOVE
-                cells2 = ka_pre[rows2].astype(np.int64) * (n + 1) + kb_pre[rows2]
-                np.add.at(census.phase2_counts, (cells2, kind[rows2]), 1)
+                kind[do_mark & (new_mark < n)] = A_UP
+                kind[(mv2 & (right < n)) | (mv3 & (left < n))] = MOVE
+                np.add.at(census.phase2_counts, (cells[rows2], kind[rows2]), 1)
 
         midx = np.flatnonzero(do_mark)
         if midx.size:
@@ -504,18 +488,23 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             k[midx] += 1
             is_a = cards < n
             ka[midx] += is_a
-            kb[midx] += ~is_a
             col = (~is_a).astype(np.intp)
             low[midx, col] = np.minimum(low[midx, col], cards)
+            k_now = k[midx]
+            out_tp1[orig[midx[k_now == threshold]]] = t
             if out_times is not None:
-                out_times[orig[midx], k[midx].astype(np.int64)] = t
+                out_times[orig[midx], k_now.astype(np.int64)] = t
             if m_rec is not None:
-                hit = midx[k[midx] == m_rec]
+                hit = midx[k_now == m_rec]
                 if hit.size:
                     got = np.argsort(~marked[hit], axis=1, kind="stable")[:, :m_rec]
                     out_hit_labels[orig[hit]] = got.astype(np.int16)
                     out_hit_pos[orig[hit]] = np.take_along_axis(
                         pos_of[hit], got, axis=1)
+            fin = midx[k_now == deck]
+            if fin.size:
+                out_tfull[orig[fin]] = t
+                out_decks[orig[fin][:, None], pos_of[fin]] = labels
 
         vidx = np.flatnonzero(mv2 | mv3)
         if vidx.size:
@@ -523,9 +512,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             dst = np.where(mv2[vidx], right[vidx], left[vidx])
             marked[vidx, src] = False
             marked[vidx, dst] = True
-            delta = (dst < n).astype(np.int16) - (src < n).astype(np.int16)
-            ka[vidx] += delta
-            kb[vidx] -= delta
+            ka[vidx] += (dst < n).astype(np.int16) - (src < n).astype(np.int16)
             col = (dst >= n).astype(np.intp)
             low[vidx, col] = np.minimum(low[vidx, col], dst)
             col = (src >= n).astype(np.intp)
@@ -536,28 +523,14 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 own = (labels >= n) == (src[lost] >= n)[:, None]
                 low[lrows, lcol] = np.argmax(marked[lrows] & own, axis=1)
 
-        newly2 = ~phase2 & (k >= threshold)
-        if newly2.any():
-            out_tp1[orig[newly2]] = t
-            phase2 |= newly2
-
-        finished = do_mark & (k == deck)
-        if finished.any():
-            fin = np.flatnonzero(finished)
-            out_tfull[orig[fin]] = t
-            out_decks[orig[fin]] = card_at[fin]
-
         alive = k < deck
         dead = np.count_nonzero(~alive)
         if dead and (dead * 8 >= batch or dead == batch):
             keep = np.flatnonzero(alive)
-            card_at = card_at[keep]
             pos_of = pos_of[keep]
             marked = marked[keep]
             k = k[keep]
             ka = ka[keep]
-            kb = kb[keep]
-            phase2 = phase2[keep]
             low = low[keep]
             orig = orig[keep]
 

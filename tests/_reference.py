@@ -128,6 +128,23 @@ def uniform_fixed_mass_enumerated(n: int, threshold: int) -> float:
     return hits / total
 
 
+def fixed_a_counts(deck: int) -> np.ndarray:
+    """Type-A cards at their home slot, for every permutation in rank order.
+
+    Labels below deck/2 are type A; ``itertools.permutations`` lists the
+    permutations in lexicographic order, which is rank order.
+    """
+    half = deck // 2
+    return np.array([sum(1 for i in range(half) if perm[i] == i)
+                     for perm in itertools.permutations(range(deck))], dtype=np.int64)
+
+
+def state_mass_at_least(op, dist: np.ndarray, threshold: int) -> float:
+    """Mass of states with at least ``threshold`` type-A fixed points."""
+    counts = fixed_a_counts(op.profile.deck_size)
+    return float(dist[counts >= threshold].sum())
+
+
 def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
     """Exact law of the deck at full marking, by DP over (perm, marked set).
 

@@ -2,10 +2,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from biased_shuffle import cli
+from biased_shuffle import cli, exact_analysis
 from biased_shuffle.cli import main, parse_header, read_header
 
 
@@ -215,6 +216,16 @@ class TestConfigFile:
 class TestExitCodes:
     def test_capacity(self):
         assert main(["exact", "--deck", "10"]) == 3
+
+    def test_capacity_over_byte_budget(self, monkeypatch, capsys):
+        # the byte estimate refuses deck 12 before any permutation is listed
+        def listed(deck):
+            raise AssertionError("all_perms ran for an oversized deck")
+        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        start = time.perf_counter()
+        assert main(["exact", "--deck", "12", "--max-deck", "12"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
 
     def test_usage_odd_deck(self):
         assert main(["exact", "--deck", "5"]) == 2

@@ -1,5 +1,6 @@
 """Exact small-deck machinery: ranking, operator, distances, mixing times."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,26 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import dense_transition_matrix, lex_rank
+from _reference import dense_transition_matrix, fixed_a_counts, lex_rank, state_mass_at_least
+from biased_shuffle import cli, exact_analysis
 from biased_shuffle.chain_core import make_bias_profile
 from biased_shuffle.exact_analysis import (
+    EXACT_BYTE_BUDGET,
     CapacityError,
     all_perms,
     build_operator,
     cutoff_profile,
     decode_perm,
+    distance_scan,
     encode_many,
     encode_perm,
     evolve,
+    exact_bytes,
     factorials,
-    fixed_a_counts,
     mixing_time,
     point_mass,
     separation_distance,
-    state_mass_at_least,
     theory_time,
     tv_distance,
 )
+
+
+def transition_mass(op, x: int, y: int) -> float:
+    """Exact one-step mass the operator sends from state x to state y."""
+    if x == y:
+        return op.stay
+    for col in range(op.table.shape[1]):
+        if op.table[x, col] == y:
+            return float(op.weights[col])
+    return 0.0
 
 
 class TestRanking:
@@ -65,6 +78,20 @@ class TestOperator:
         with pytest.raises(CapacityError):
             build_operator(make_bias_profile(5, 1.0), max_deck=8)
 
+    def test_byte_budget_admits_deck_10_only(self, monkeypatch):
+        assert exact_bytes(10) <= EXACT_BYTE_BUDGET < exact_bytes(12)
+
+        class Listed(Exception):
+            pass
+
+        def listed(deck):
+            raise Listed
+        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        with pytest.raises(Listed):
+            build_operator(make_bias_profile(5, 0.5), max_deck=10)
+        with pytest.raises(CapacityError):
+            build_operator(make_bias_profile(6, 0.5), max_deck=12)
+
     def test_one_step_unbiased_masses(self):
         # identity stays with probability 1/4, each transposition gets 1/8
         op = build_operator(make_bias_profile(2, 1.0))
@@ -101,7 +128,7 @@ class TestOperator:
         mat, _ = dense_transition_matrix(profile)
         for x in (0, 3, 11, 23):
             for y in (0, 5, 23):
-                assert op.transition_mass(x, y) == pytest.approx(mat[x, y], abs=1e-14)
+                assert transition_mass(op, x, y) == pytest.approx(mat[x, y], abs=1e-14)
 
     @pytest.mark.parametrize("deck", [2, 4, 6])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
@@ -122,8 +149,8 @@ class TestOperator:
         rng = np.random.default_rng(4)
         for _ in range(200):
             x, y = rng.integers(0, op.state_count, 2)
-            assert op.transition_mass(int(x), int(y)) == pytest.approx(
-                op.transition_mass(int(y), int(x)), abs=1e-15)
+            assert transition_mass(op, int(x), int(y)) == pytest.approx(
+                transition_mass(op, int(y), int(x)), abs=1e-15)
 
 
 class TestDistances:
@@ -155,6 +182,41 @@ class TestDistances:
         d = evolve(op, point_mass(op), 5)
         assert curve.rows[-1][1] == pytest.approx(tv_distance(d), abs=1e-14)
         assert curve.rows[-1][2] == pytest.approx(separation_distance(d), abs=1e-14)
+
+
+class TestScan:
+    def test_rows_match_direct_evolution(self):
+        op = build_operator(make_bias_profile(2, 0.5))
+        for t, tv, sep in itertools.islice(distance_scan(op), 8):
+            d = evolve(op, point_mass(op), t)
+            assert (tv, sep) == (tv_distance(d), separation_distance(d))
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(exact_analysis, "MAX_SCAN_STEPS", 3)
+        op = build_operator(make_bias_profile(2, 0.5))
+        with pytest.raises(RuntimeError):
+            mixing_time(op, 1e-9)
+        assert cutoff_profile(op, [3]).t == [3]
+
+    @pytest.mark.parametrize("argv,applies", [
+        # both crossings (t = 5 and 8) inside the default t-max of 12
+        ("exact --deck 4 -a 0.5", 12),
+        # the separation crossing lies past t-max, so the scan runs on to it
+        ("exact --deck 4 -a 0.5 --t-max 3", 8),
+    ])
+    def test_exact_command_evolves_once(self, monkeypatch, capsys, argv, applies):
+        calls = []
+        apply = exact_analysis.TransitionOperator.apply
+
+        def counted(op, dist):
+            calls.append(1)
+            return apply(op, dist)
+        monkeypatch.setattr(exact_analysis.TransitionOperator, "apply", counted)
+        assert cli.main(argv.split()) == 0
+        assert len(calls) == applies
+        result = json.loads(capsys.readouterr().out.splitlines()[1][len("# result "):])
+        assert result["mixing_time_separation"] == 8
+        assert result["mixing_time_tv"] == 5
 
 
 class TestMixingTime:
@@ -194,10 +256,9 @@ class TestMixingTime:
 
 class TestObservables:
     def test_fixed_a_counts_enumeration(self):
-        counts = fixed_a_counts(4)
-        perms = list(itertools.permutations(range(4)))
-        expect = [sum(1 for i in range(2) if perm[i] == i) for perm in perms]
-        assert counts.tolist() == expect
+        # the oracle's enumeration order must match the engine's state index
+        expect = [sum(1 for i in range(2) if row[i] == i) for row in all_perms(4)]
+        assert fixed_a_counts(4).tolist() == expect
 
     def test_state_mass_under_uniform_matches_combinatorics(self):
         from biased_shuffle.bounds import uniform_fixed_mass

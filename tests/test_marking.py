@@ -393,6 +393,25 @@ class TestBulkEngine:
                     sigma = math.sqrt(p * (1 - p) / total)
                     assert abs(counts[kind] / total - p) < 4 * sigma
 
+    @pytest.mark.parametrize("n,a,c1,trials,seed,kwargs", [
+        (32, 0.5, 0.8, 200, 14, {}),
+        (10, 0.25, 0.75, 300, 12, dict(record_mark_times=True)),
+        (2, 0.5, 0.6, 3_000, 11, dict(record_first_k=2)),
+        (5, 0.5, 0.6, 400, 13, dict(always_mark=True)),
+    ])
+    def test_census_is_a_pure_observer(self, n, a, c1, trials, seed, kwargs):
+        profile = make_bias_profile(n, a)
+        census = MarkingCensus(n=n)
+        watched = bulk_marking_runs(profile, c1, trials, seed, census=census, **kwargs)
+        plain = bulk_marking_runs(profile, c1, trials, seed, **kwargs)
+        assert census.phase1_steps.sum() > 0
+        for field in ("decks", "t_phase1", "t_full", "mark_times", "hit_labels",
+                      "hit_positions"):
+            got, want = getattr(watched, field), getattr(plain, field)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_no_mark_moves_without_bias(self):
         census = MarkingCensus(n=3)
         bulk_marking_runs(make_bias_profile(3, 1.0), 0.75, 5_000, seed=33,

@@ -3,7 +3,10 @@
 Criterion 11 compares repeat runs of one version.  The marking digests were
 taken from the engines before the closed-form pair rule replaced the stored
 pair assignment; the type-count chain and ``exact`` digests were taken
-before the chain's jump law and backward sweep were each stated once.  So a
+before the chain's jump law and backward sweep were each stated once; the
+walk, ``lowerbound``, ``simulate`` and short-horizon ``exact`` digests were
+taken before the batched marking state was slimmed and ``exact`` evolved
+its distribution once instead of three times.  So a
 change that alters a random draw, its order, any marking decision or any
 floating-point operation order shows up here even when every statistical
 check still passes.  Update a digest only for a change that is meant to
@@ -14,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from biased_shuffle.bounds import simulate_walks
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
 from biased_shuffle.marking import MarkingCensus, bulk_marking_runs, run_to_full_marking
@@ -54,6 +58,11 @@ def scalar_digest(n, a, c1, seeds, **kwargs) -> str:
         items += [np.array([rec.t_phase1, rec.t_full]), np.array(rec.mark_times),
                   np.array(rec.deck.card_at), np.array(rec.transitions).reshape(-1)]
     return _digest(*items)
+
+
+def walk_digest(n, a, t_values, trials, seed, **kwargs) -> str:
+    res = simulate_walks(make_bias_profile(n, a), t_values, trials, seed, **kwargs)
+    return _digest(np.array(res.t_values), res.counts, res.touch_steps, res.touch_picks)
 
 
 def cli_digest(capsys, argv) -> str:
@@ -180,6 +189,52 @@ TABLE_CLI = {
         "82946b815cc94fade760d6cc8a2aeb04e5dcf5260c10a3154faf5102e80ec044"),
 }
 
+# Walk trials run in blocks of 4096 with one stream per block, so the first
+# case spans two blocks.
+WALK = {
+    "deck12-two-blocks": (
+        dict(n=6, a=0.5, t_values=(0, 3, 10, 25), trials=5000, seed=21,
+             touch_threshold=2),
+        "54f6c7b45b3ff216a483aa099e04c33df900a61d1efa09d3c0358e49f5dce0ea"),
+    "deck64-touch-zero": (
+        dict(n=32, a=1.0, t_values=(7, 40), trials=300, seed=22, touch_threshold=0),
+        "5dc47c2031884fe99b3a47647981374b2586615050e79a0a125355225d70b0c5"),
+    "deck8-touch-full": (
+        dict(n=4, a=0.25, t_values=(5,), trials=200, seed=23, touch_threshold=4),
+        "c5119b4b692005c2a4fca90b2dc7d837f770e6e6d2342c491f59744f167b97fa"),
+    "deck20-no-touch": (
+        dict(n=10, a=0.75, t_values=(1, 2, 30), trials=700, seed=24),
+        "fa1aae3df062e854979a0b86b92fb1f7af804764fdb7ec3e5363a145c5172f5b"),
+}
+
+# Horizons that stop before, at and well past both crossings.
+WALK_EXACT_CLI = {
+    "lowerbound-t-list": (
+        "lowerbound --deck 8 --trials 3000 --t-list 5,20".split(),
+        "82045962876ae46fe73d3572a4d62a67a79844c5e416db2cc6b795a9f8ce5d25"),
+    "lowerbound-multiples": (
+        "lowerbound --deck 12 --trials 5000 --seed 9".split(),
+        "222f4b5529029cb71bb6a996c8365b3ff37deaa7498d7701974ba9c4c4971a8f"),
+    "simulate": (
+        "simulate --deck 10 --t 12 --trials 500".split(),
+        "5328a59e201d82bf703d5de659d7235c2682119ef3113776bc6c710a4f0b4b5d"),
+    "exact-deck8": (
+        "exact --deck 8 -a 0.5".split(),
+        "6e214143747472503afe577868d0bea65fa5b489ddf472d5a47bb691f0bd1945"),
+    "exact-deck6-t-max-3": (
+        "exact --deck 6 --t-max 3".split(),
+        "2287f07df9bc6dca2eebf08fafce5653f920a4bb8eb3efc851d1940dc0089396"),
+    "exact-deck4-eps-0.01": (
+        "exact --deck 4 -a 0.25 --eps 0.01 --t-max 5".split(),
+        "42c6689a5edb8b9dabcb86c28607f1435186bc751b74a1ee02dc10c908effbd8"),
+    "exact-deck6-t-max-0": (
+        "exact --deck 6 -a 0.5 --t-max 0 --eps 0.5".split(),
+        "dc91a9c52b1e1e4cf95ee2a80859edd9f211be06ef3a861325004997136d7f99"),
+    "exact-deck2-t-max-40": (
+        "exact --deck 2 -a 0.5 --t-max 40".split(),
+        "6579d43267a85fdba0d447a8dddcfd9950fbec6cf877d2f7a49fa08a13ae7c7a"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(BULK))
 def test_bulk_engine_bytes(name):
@@ -214,4 +269,16 @@ def test_type_chain_table_bytes(n, a):
 @pytest.mark.parametrize("name", sorted(TABLE_CLI))
 def test_table_cli_bytes(capsys, name):
     argv, expected = TABLE_CLI[name]
+    assert cli_digest(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALK))
+def test_walk_bytes(name):
+    kwargs, expected = WALK[name]
+    assert walk_digest(**kwargs) == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALK_EXACT_CLI))
+def test_walk_and_exact_cli_bytes(capsys, name):
+    argv, expected = WALK_EXACT_CLI[name]
     assert cli_digest(capsys, argv) == expected
