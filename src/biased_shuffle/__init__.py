@@ -27,7 +27,6 @@ from .exact_analysis import (
     cutoff_profile,
     decode_perm,
     encode_perm,
-    evolve,
     mixing_time,
     point_mass,
     separation_distance,

@@ -174,9 +174,7 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             if s >= step_cap:
                 raise RuntimeError(f"touch tracking still open after {s} steps")
             s += 1
-            u = rng.random((bsz, 2))
-            right = hands_from_uniforms(profile, u[:, 0])
-            left = hands_from_uniforms(profile, u[:, 1])
+            right, left = hands_from_uniforms(profile, rng.random((bsz, 2))).T
             p_r = pos[rows, right]
             p_l = pos[rows, left]
             is_ar = right < n

@@ -165,9 +165,15 @@ def sample_hand(profile: BiasProfile, rng: np.random.Generator) -> int:
 
 
 def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse-CDF map from uniforms in [0, 1) to int64 card labels."""
+    """Vectorised inverse-CDF map from uniforms in [0, 1) to int64 card labels.
+
+    Each uniform, in an array of any shape, is scaled once by its own type's
+    block with the expressions of :func:`sample_hand` (``u - 0.0`` is ``u``).
+    """
     n, size = profile.n, profile.deck_size
     half_a = 0.5 * profile.a
-    low = np.minimum((u * (size / profile.a)).astype(np.int64), n - 1)
-    high = n + np.minimum(((u - half_a) * (size / profile.b)).astype(np.int64), n - 1)
-    return np.where(u < half_a, low, high)
+    is_b = (u >= half_a).astype(np.intp)
+    shift = np.array([0.0, half_a])
+    scale = np.array([size / profile.a, size / profile.b])
+    scaled = (u - shift[is_b]) * scale[is_b]
+    return np.minimum(scaled.astype(np.int64), n - 1) + n * is_b

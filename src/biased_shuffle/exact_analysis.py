@@ -2,9 +2,10 @@
 
 States are the N! permutations of the deck, indexed by their lexicographic
 (Lehmer) rank.  The one-step operator is kept matrix free: a precomputed
-neighbour table maps every state through each of the N(N-1)/2 transpositions,
-and applying the operator is a weighted sum of pure gathers (each
-transposition column is an involution on states, so gather equals scatter).
+neighbour table holds, for each of the N(N-1)/2 transpositions, one contiguous
+row mapping every state to its image, and applying the operator is a weighted
+sum of pure gathers (each transposition row is an involution on states, so
+gather equals scatter).
 
 Total variation and separation distance are computed against the uniform
 distribution.
@@ -88,19 +89,24 @@ class TransitionOperator:
     profile: BiasProfile
     stay: float                 # mass on the identity move
     weights: np.ndarray         # (T,) unordered transposition masses 2 p_i p_j
-    table: np.ndarray           # (N!, T) image state under each transposition
+    table: np.ndarray           # (T, N!) image state under each transposition
     # rows distance_scan has reached so far, and the distribution at the last
     scanned: list = field(default_factory=list, init=False, repr=False)
     scan_head: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def state_count(self) -> int:
-        return self.table.shape[0]
+        return self.table.shape[1]
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
         out = self.stay * dist
-        for col, w in enumerate(self.weights):
-            out += w * dist[self.table[:, col]]
+        term = np.empty_like(dist)
+        # every image is a state, so "clip" never acts; it spares the copy
+        # of ``out`` that take makes under the default mode="raise"
+        for image, w in zip(self.table, self.weights):
+            np.take(dist, image, out=term, mode="clip")
+            term *= w
+            out += term
         return out
 
 
@@ -108,7 +114,8 @@ def exact_bytes(deck: int) -> int:
     """Estimated peak bytes of :func:`build_operator` for a deck.
 
     Per state: the listed permutation as a Python tuple plus its int8 row,
-    the int32 neighbour table row and a few float64 distribution entries.
+    its int32 entry in every neighbour table row and a few float64
+    distribution entries.
     """
     pairs = deck * (deck - 1) // 2
     return math.factorial(deck) * (56 + 9 * deck + 4 * pairs + 8 * 4)
@@ -128,12 +135,12 @@ def build_operator(profile: BiasProfile, max_deck: int = DEFAULT_MAX_DECK) -> Tr
     perms = all_perms(deck)
     hand = profile.weights() / deck
     pairs = [(i, j) for i in range(deck) for j in range(i + 1, deck)]
-    table = np.empty((perms.shape[0], len(pairs)), dtype=np.int32)
+    table = np.empty((len(pairs), perms.shape[0]), dtype=np.int32)
     weights = np.empty(len(pairs))
     for col, (i, j) in enumerate(pairs):
         relabel = np.arange(deck, dtype=np.int8)
         relabel[i], relabel[j] = j, i
-        table[:, col] = encode_many(relabel[perms])
+        table[col] = encode_many(relabel[perms])
         weights[col] = 2.0 * hand[i] * hand[j]
     stay = float(np.sum(hand * hand))
     return TransitionOperator(profile=profile, stay=stay, weights=weights, table=table)
@@ -143,16 +150,6 @@ def point_mass(op: TransitionOperator, state: int = 0) -> np.ndarray:
     dist = np.zeros(op.state_count)
     dist[state] = 1.0
     return dist
-
-
-def evolve(op: TransitionOperator, dist: np.ndarray, t: int) -> np.ndarray:
-    """Advance a distribution t steps (t = 0 returns a copy)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    out = dist.copy()
-    for _ in range(t):
-        out = op.apply(out)
-    return out
 
 
 def tv_distance(dist: np.ndarray) -> float:

@@ -37,10 +37,9 @@ derived from (seed, tag), so its output is a deterministic function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import type_chain
 from .chain_core import (
@@ -342,18 +341,15 @@ class MarkingCensus:
     """Per-cell step statistics accumulated across batched runs."""
 
     n: int
-    phase1_steps: np.ndarray = None
-    phase1_marks: np.ndarray = None
-    phase2_counts: np.ndarray = None
+    phase1_steps: np.ndarray = field(init=False)
+    phase1_marks: np.ndarray = field(init=False)
+    phase2_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         cells = (self.n + 1) * (self.n + 1)
-        if self.phase1_steps is None:
-            self.phase1_steps = np.zeros(cells, dtype=np.int64)
-        if self.phase1_marks is None:
-            self.phase1_marks = np.zeros(cells, dtype=np.int64)
-        if self.phase2_counts is None:
-            self.phase2_counts = np.zeros((cells, 4), dtype=np.int64)
+        self.phase1_steps = np.zeros(cells, dtype=np.int64)
+        self.phase1_marks = np.zeros(cells, dtype=np.int64)
+        self.phase2_counts = np.zeros((cells, 4), dtype=np.int64)
 
     def cell(self, ka: int, kb: int) -> int:
         return ka * (self.n + 1) + kb
@@ -427,11 +423,11 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                                f"{pos_of.shape[0]} runs unfinished")
         batch = pos_of.shape[0]
         rows = np.arange(batch)
-        right = hands_from_uniforms(profile, rng.random(batch))
-        left = hands_from_uniforms(profile, rng.random(batch))
+        u3 = rng.random((3, batch))
+        right, left = hands_from_uniforms(profile, u3[:2])
         # always_mark zeroes the coins; each rule's numerator is positive,
         # so 0 * den < num accepts
-        u_acc = rng.random(batch) * (not always_mark)
+        u_acc = u3[2] * (not always_mark)
 
         p_r = pos_of[rows, right]
         pos_of[rows, right] = pos_of[rows, left]
@@ -564,7 +560,7 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
                                always_mark=always_mark,
                                record_first_k=conditional_m)
     counts = np.bincount(encode_many(result.decks), minlength=cells)
-    chi2 = stats.chisquare(counts)
+    statistic, p_value = _chisquare(counts)
     report = {
         "deck": deck,
         "a": profile.a,
@@ -572,9 +568,9 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
         "trials": trials,
         "always_mark": always_mark,
         "cells": int(cells),
-        "statistic": float(chi2.statistic),
+        "statistic": statistic,
         "dof": int(cells - 1),
-        "p_value": float(chi2.pvalue),
+        "p_value": p_value,
         "mean_t_phase1": float(result.t_phase1.mean()),
         "mean_t_full": float(result.t_full.mean()),
     }
@@ -584,7 +580,21 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
     return report
 
 
+def _chisquare(counts: np.ndarray) -> tuple[float, float]:
+    """Pearson chi-square of ``counts`` against equal cells: (statistic, p-value).
+
+    Repeats the float operations of ``scipy.stats.chisquare`` without
+    importing ``scipy.stats``, an import every CLI process would pay.
+    """
+    from scipy.special import chdtrc
+    observed = counts.astype(np.float64)
+    expected = observed.mean()
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    return statistic, float(chdtrc(observed.size - 1, statistic))
+
+
 def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int) -> dict:
+    from scipy.special import chdtrc
     arr_cells = factorials(m)[m]
     order = np.argsort(positions, axis=1)
     ranks = np.empty_like(order)
@@ -601,12 +611,12 @@ def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int) -
     for cid in np.flatnonzero(class_count >= min_samples):
         sub = arrangement[class_id == cid]
         counts = np.bincount(sub, minlength=arr_cells)
-        res = stats.chisquare(counts)
-        p_values.append(float(res.pvalue))
-        stat_sum += float(res.statistic)
+        statistic, p_value = _chisquare(counts)
+        p_values.append(p_value)
+        stat_sum += statistic
         dof_sum += arr_cells - 1
         tested += 1
-    combined_p = float(stats.chi2.sf(stat_sum, dof_sum)) if dof_sum else float("nan")
+    combined_p = float(chdtrc(dof_sum, stat_sum)) if dof_sum else float("nan")
     return {
         "m": m,
         "classes_observed": int(class_count.size),

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import record_criterion
+from _helpers import evolve
 from _reference import dense_transition_matrix, uniform_fixed_mass_enumerated
 from biased_shuffle import bounds, exact_analysis as ea, marking, type_chain
 from biased_shuffle.chain_core import make_bias_profile
@@ -27,7 +28,7 @@ SEED = 1729
 def test_criterion_1_exact_one_step_distances():
     start = time.perf_counter()
     op = ea.build_operator(make_bias_profile(2, 1.0))
-    dist = ea.evolve(op, ea.point_mass(op), 1)
+    dist = evolve(op, ea.point_mass(op), 1)
     swaps = dist[1:][dist[1:] > 0]
     ok = (abs(dist[0] - 0.25) < 1e-12
           and swaps.size == 6
@@ -350,6 +351,7 @@ def test_criterion_10_conjecture_probe_report():
 
 
 def test_criterion_11_byte_determinism(tmp_path):
+    start = time.perf_counter()
     env_base = os.environ.copy()
     jobs = [
         ["marking", "--deck", "6", "--trials", "2000", "--seed", "5"],
@@ -374,7 +376,8 @@ def test_criterion_11_byte_determinism(tmp_path):
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(target.read_bytes())
         ok &= all(blob == outputs[0] for blob in outputs)
+    elapsed = time.perf_counter() - start
     record_criterion(
         "11", ok,
         "byte-identical outputs across repeat runs and thread-count settings "
-        "for marking, lowerbound, exact")
+        f"for marking, lowerbound, exact; {elapsed:.1f}s")

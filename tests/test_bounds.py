@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import evolve
 from _reference import state_mass_at_least, uniform_fixed_mass_enumerated
 from biased_shuffle import exact_analysis as ea
 from biased_shuffle.bounds import (
@@ -150,7 +151,7 @@ class TestWalker:
     def test_matches_exact_distribution_small_deck(self):
         profile = make_bias_profile(3, 0.5)
         op = ea.build_operator(profile)
-        dist = ea.evolve(op, ea.point_mass(op), 3)
+        dist = evolve(op, ea.point_mass(op), 3)
         exact = state_mass_at_least(op, dist, 1)
         [est] = lower_bound_sweep(profile, [3], 1, 40_000, seed=5)
         assert abs(est.estimate - exact) < 4 * est.stderr
@@ -180,7 +181,7 @@ class TestLowerBound:
         profile = make_bias_profile(3, 0.5)
         op = ea.build_operator(profile)
         for row in lower_bound_sweep(profile, [1, 3, 6, 10], 1, 40_000, seed=5):
-            exact_tv = ea.tv_distance(ea.evolve(op, ea.point_mass(op), row.t))
+            exact_tv = ea.tv_distance(evolve(op, ea.point_mass(op), row.t))
             assert row.bound <= exact_tv + 4 * max(row.stderr, 1e-4)
 
     def test_suggested_threshold(self):

@@ -141,6 +141,18 @@ class TestSmoke:
         assert read_header(str(out))["command"] == "exact"
 
 
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy is loaded only by the uniformity checks, inside them
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, biased_shuffle.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("args", [
         ["exact", "--deck", "4", "-a", "0.5"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import evolve
 from _reference import dense_transition_matrix, fixed_a_counts, lex_rank, state_mass_at_least
 from biased_shuffle import cli, exact_analysis
 from biased_shuffle.chain_core import make_bias_profile
@@ -21,7 +22,6 @@ from biased_shuffle.exact_analysis import (
     distance_scan,
     encode_many,
     encode_perm,
-    evolve,
     exact_bytes,
     factorials,
     mixing_time,
@@ -36,9 +36,9 @@ def transition_mass(op, x: int, y: int) -> float:
     """Exact one-step mass the operator sends from state x to state y."""
     if x == y:
         return op.stay
-    for col in range(op.table.shape[1]):
-        if op.table[x, col] == y:
-            return float(op.weights[col])
+    for image, w in zip(op.table, op.weights):
+        if image[x] == y:
+            return float(w)
     return 0.0
 
 
@@ -121,6 +121,22 @@ class TestOperator:
             dist = op.apply(dist)
             dense = dense @ mat
         assert np.abs(dist - dense).max() < 1e-10
+
+    @pytest.mark.parametrize("deck", [2, 4, 6])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+    def test_apply_matches_per_column_gathers_bit_for_bit(self, deck, a):
+        op = build_operator(make_bias_profile(deck // 2, a))
+        by_state = op.table.T  # the (N!, T) layout, one column per transposition
+
+        def apply_by_columns(dist):
+            out = op.stay * dist
+            for col, w in enumerate(op.weights):
+                out += w * dist[by_state[:, col]]
+            return out
+
+        rng = np.random.default_rng(deck)
+        for dist in (point_mass(op), op.apply(point_mass(op)), rng.random(op.state_count)):
+            assert op.apply(dist).tobytes() == apply_by_columns(dist).tobytes()
 
     def test_transition_mass_lookup(self):
         profile = make_bias_profile(2, 0.5)

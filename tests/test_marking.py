@@ -15,6 +15,7 @@ from _reference import (
     phase1_path_distribution,
     probability,
 )
+from biased_shuffle import marking
 from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
@@ -23,6 +24,7 @@ from biased_shuffle.marking import (
     MOVE,
     STAY,
     MarkingCensus,
+    _chisquare,
     MarkingState,
     assigned_card,
     bulk_marking_runs,
@@ -448,6 +450,38 @@ class TestUniformity:
     def test_requires_enough_trials(self):
         with pytest.raises(ValueError):
             uniformity_test(H4, 0.6, 2_399, seed=7)
+
+    def test_chisquare_matches_scipy_stats_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        vectors = [np.bincount(rng.integers(0, 24, 5_000), minlength=24),
+                   np.array([2, 0]), np.array([7, 7, 7, 7, 7, 7])]
+        for cells in (2, 6, 24, 120, 720):
+            for scale in (1, 40, 10_000):
+                vectors.append(rng.poisson(scale * rng.uniform(0.8, 1.2, cells)))
+        for counts in vectors:
+            ref = stats.chisquare(counts)
+            assert _chisquare(counts) == (float(ref.statistic), float(ref.pvalue))
+
+    def test_pooled_conditional_p_matches_scipy_stats(self, monkeypatch):
+        seen = []
+
+        def recording_chisquare(counts):
+            seen.append(counts)
+            return _chisquare(counts)
+
+        monkeypatch.setattr(marking, "_chisquare", recording_chisquare)
+        report = uniformity_test(H4, 0.6, 20_000, seed=7)
+        deck_counts, *class_counts = seen
+        ref = stats.chisquare(deck_counts)
+        assert (report["statistic"], report["p_value"]) == (
+            float(ref.statistic), float(ref.pvalue))
+        cond = report["conditional"]
+        assert cond["classes_tested"] == len(class_counts) > 0
+        refs = [stats.chisquare(c) for c in class_counts]
+        stat_sum = sum(float(r.statistic) for r in refs)
+        dof_sum = sum(c.size - 1 for c in class_counts)
+        assert cond["combined_p"] == float(stats.chi2.sf(stat_sum, dof_sum))
+        assert cond["min_p"] == min(float(r.pvalue) for r in refs)
 
 
 class TestExpectedTimes:
