@@ -25,8 +25,6 @@ from .exact_analysis import (
     TransitionOperator,
     build_operator,
     cutoff_profile,
-    decode_perm,
-    encode_perm,
     mixing_time,
     point_mass,
     separation_distance,
@@ -54,7 +52,6 @@ from .type_chain import (
 )
 from .bounds import (
     coupon_expectation,
-    derangement_count,
     lower_bound_sweep,
     sample_touch_picks,
     simulate_walks,

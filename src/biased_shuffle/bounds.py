@@ -27,23 +27,11 @@ from .chain_core import (
     BiasProfile,
     STREAM_TOUCH,
     STREAM_WALK,
-    hands_from_uniforms,
+    HandStream,
     stream_rng,
 )
 
 DEFAULT_BLOCK_SIZE = 4096
-
-
-def derangement_count(m: int) -> int:
-    """Number of permutations of m items with no fixed point, exactly."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    prev2, prev = 1, 0  # d(0), d(1)
-    if m == 0:
-        return prev2
-    for i in range(2, m + 1):
-        prev2, prev = prev, (i - 1) * (prev + prev2)
-    return prev
 
 
 def uniform_fixed_pmf(n: int) -> np.ndarray:
@@ -149,12 +137,20 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     else:
         step_cap = t_max
 
+    labels = np.arange(deck, dtype=np.int16)
+    # a type-A card's own label, -1 for type B, which no position equals
+    a_label = np.where(labels < n, labels, -1).astype(np.int16)
     for start in range(0, trials, DEFAULT_BLOCK_SIZE):
         stop = min(start + DEFAULT_BLOCK_SIZE, trials)
         bsz = stop - start
-        rng = stream_rng(seed, STREAM_WALK, start // DEFAULT_BLOCK_SIZE)
+        stream = HandStream(profile, stream_rng(seed, STREAM_WALK, start // DEFAULT_BLOCK_SIZE))
         rows = np.arange(bsz)
-        pos = np.tile(np.arange(deck, dtype=np.int16), (bsz, 1))
+        pos = np.tile(labels, (bsz, 1))
+        flat_pos = pos.reshape(-1)
+        # hands arrive interleaved, right then left for each run; entry i
+        # belongs to run i // 2 and its partner hand is entry i ^ 1
+        row_base = np.repeat(rows * deck, 2)
+        partner = np.arange(2 * bsz) ^ 1
         cnt = np.full(bsz, n, dtype=np.int16)
         if tt is not None:
             untouched = np.ones((bsz, n), dtype=bool)
@@ -174,19 +170,20 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             if s >= step_cap:
                 raise RuntimeError(f"touch tracking still open after {s} steps")
             s += 1
-            right, left = hands_from_uniforms(profile, rng.random((bsz, 2))).T
-            p_r = pos[rows, right]
-            p_l = pos[rows, left]
-            is_ar = right < n
-            is_al = left < n
-            before = (((p_r == right) & is_ar).astype(np.int16)
-                      + ((p_l == left) & is_al).astype(np.int16))
-            after = (((p_l == right) & is_ar).astype(np.int16)
-                     + ((p_r == left) & is_al).astype(np.int16))
-            cnt += after - before
-            pos[rows, right] = p_l
-            pos[rows, left] = p_r
+            hands = stream.take(2 * bsz)[1]
+            offsets = row_base + hands
+            held = flat_pos[offsets]
+            swapped = held[partner]
+            flat_pos[offsets] = swapped
+            # each hand's card moves to its partner's position: +1 where a
+            # type-A card lands on its own label, -1 where one leaves it
+            a_card = a_label[hands]
+            fix_change = (swapped == a_card).view(np.int8) - (held == a_card).view(np.int8)
+            cnt += fix_change[0::2] + fix_change[1::2]
             if touching:
+                right, left = hands[0::2], hands[1::2]
+                is_ar = right < n
+                is_al = left < n
                 for ordinal, hand, is_a in ((1, right, is_ar), (2, left, is_al)):
                     idx = np.flatnonzero(is_a & untouched[rows, np.minimum(hand, n - 1)])
                     if idx.size == 0:

@@ -135,14 +135,6 @@ class DeckState:
         self.pos_of[c1], self.pos_of[c2] = p2, p1
         self.card_at[p1], self.card_at[p2] = c2, c1
 
-    def is_bijection(self) -> bool:
-        seen = bytearray(self.deck_size)
-        for card in self.card_at:
-            if not 0 <= card < self.deck_size or seen[card]:
-                return False
-            seen[card] = 1
-        return all(self.card_at[self.pos_of[c]] == c for c in range(self.deck_size))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DeckState) and self.card_at == other.card_at
 
@@ -177,3 +169,44 @@ def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
     scale = np.array([size / profile.a, size / profile.b])
     scaled = (u - shift[is_b]) * scale[is_b]
     return np.minimum(scaled.astype(np.int64), n - 1) + n * is_b
+
+
+# Uniforms a HandStream draws and maps at a time: 256 KiB of doubles plus
+# 256 KiB of labels.
+HAND_BLOCK = 1 << 15
+
+
+class HandStream:
+    """A generator's uniforms, each paired with its card under the hand law.
+
+    Uniforms are drawn and mapped through :func:`hands_from_uniforms` a block
+    of ``HAND_BLOCK`` at a time, and :meth:`take` hands out consecutive
+    slices of them.  A generator's doubles do not depend on how many each
+    ``random`` call asks for, so successive ``take`` calls return the
+    uniforms of successive ``rng.random`` calls of the same sizes, whatever
+    the block size.
+    """
+
+    def __init__(self, profile: BiasProfile, rng: np.random.Generator):
+        self.profile = profile
+        self.rng = rng
+        self._u = np.empty(0)
+        self._hands = np.empty(0, dtype=np.int64)
+        self._at = 0
+
+    def take(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``m`` uniforms and their int64 card labels, not to be written to."""
+        start, stop = self._at, self._at + m
+        if stop <= self._u.size:
+            self._at = stop
+            return self._u[start:stop], self._hands[start:stop]
+        head_u, head_hands = self._u[start:], self._hands[start:]
+        missing = stop - self._u.size
+        self._u = self.rng.random(max(missing, HAND_BLOCK))
+        self._hands = hands_from_uniforms(self.profile, self._u)
+        self._u.flags.writeable = self._hands.flags.writeable = False
+        self._at = missing
+        if not head_u.size:
+            return self._u[:missing], self._hands[:missing]
+        return (np.concatenate((head_u, self._u[:missing])),
+                np.concatenate((head_hands, self._hands[:missing])))

@@ -41,31 +41,6 @@ def factorials(upto: int) -> list[int]:
     return out
 
 
-def encode_perm(perm) -> int:
-    """Lexicographic rank of a permutation of 0..N-1."""
-    perm = list(perm)
-    deck = len(perm)
-    fact = factorials(deck)
-    rank = 0
-    for i in range(deck - 1):
-        smaller = sum(1 for j in range(i + 1, deck) if perm[j] < perm[i])
-        rank += smaller * fact[deck - 1 - i]
-    return rank
-
-
-def decode_perm(rank: int, deck: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_perm`."""
-    fact = factorials(deck)
-    if not 0 <= rank < fact[deck]:
-        raise ValueError("rank out of range")
-    avail = list(range(deck))
-    out = []
-    for i in range(deck):
-        digit, rank = divmod(rank, fact[deck - 1 - i])
-        out.append(avail.pop(digit))
-    return tuple(out)
-
-
 def encode_many(perms: np.ndarray) -> np.ndarray:
     """Vectorised Lehmer rank of each row of an (M, N) permutation array."""
     deck = perms.shape[1]

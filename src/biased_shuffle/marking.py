@@ -47,8 +47,7 @@ from .chain_core import (
     DeckState,
     MoveRecord,
     STREAM_MARKING,
-    STREAM_UNIFORMITY,
-    hands_from_uniforms,
+    HandStream,
     sample_hand,
     stream_rng,
 )
@@ -391,7 +390,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         raise ValueError("trials must be positive")
     if record_first_k is not None and not 1 <= record_first_k <= deck:
         raise ValueError("record_first_k out of range")
-    rng = stream_rng(seed, STREAM_MARKING)
+    stream = HandStream(profile, stream_rng(seed, STREAM_MARKING))
 
     labels = np.arange(deck, dtype=np.int16)
     pos_of = np.tile(labels, (trials, 1))
@@ -400,6 +399,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     ka = np.zeros(trials, dtype=np.int16)
     low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
+    # pos_of and marked stay C-contiguous through compaction, so card c of
+    # run i sits at flat offset i * deck + c of both
+    row_base = np.arange(trials, dtype=np.int64) * deck
 
     out_decks = np.empty((trials, deck), dtype=np.int16)
     out_tp1 = np.zeros(trials, dtype=np.int64)
@@ -422,42 +424,46 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             raise RuntimeError(f"batched marking exceeded {cap} steps; "
                                f"{pos_of.shape[0]} runs unfinished")
         batch = pos_of.shape[0]
-        rows = np.arange(batch)
-        u3 = rng.random((3, batch))
-        right, left = hands_from_uniforms(profile, u3[:2])
+        draws, hands = stream.take(3 * batch)
+        pair = hands[:2 * batch].reshape(2, batch)
+        right, left = pair
         # always_mark zeroes the coins; each rule's numerator is positive,
         # so 0 * den < num accepts
-        u_acc = u3[2] * (not always_mark)
+        u_acc = draws[2 * batch:] * (not always_mark)
 
-        p_r = pos_of[rows, right]
-        pos_of[rows, right] = pos_of[rows, left]
-        pos_of[rows, left] = p_r
-
-        m_r = marked[rows, right]
-        m_l = marked[rows, left]
-        w_r = wt[right]
-        w_l = wt[left]
+        offsets = pair + row_base[:batch]
+        flat_pos = pos_of.reshape(-1)
+        held = flat_pos[offsets]
+        flat_pos[offsets] = held[::-1]
+        flat_marked = marked.reshape(-1)
+        m_r, m_l = flat_marked[offsets]
+        w_r, w_l = wt[pair]
         in2 = k >= threshold
-        acc1 = ~in2 & ~m_r & ~m_l & coin(u_acc, phase1_rule(a, w_r, w_l))
+        live2 = np.count_nonzero(in2)
 
-        same = right == left
-        ok1 = in2 & same & ~m_r & coin(u_acc, solo_rule(a, w_r))
-        case2 = in2 & ~same & ~m_r & m_l
-        case3 = in2 & ~same & m_r & ~m_l
-        case4 = in2 & ~same & m_r & m_l
-        ok2 = case2 & coin(u_acc, mixed_rule(a, w_l))
-        ok3 = case3 & coin(u_acc, mixed_rule(a, w_r))
-        mv2 = case2 & ~ok2
-        mv3 = case3 & ~ok3
-
-        u_card = np.full(batch, -1, dtype=np.int64)
-        cand = np.flatnonzero(case4 & (low[rows, (right >= n).astype(np.intp)] == right))
-        if cand.size:
-            u = assigned_card(marked[cand], n, right[cand], left[cand])
-            ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
-            u_card[cand[ok4]] = u[ok4]
-
-        new_mark = np.where(acc1 | ok1 | ok2, right, np.where(ok3, left, u_card))
+        # new_mark is the card each run marks this step, or -1; each phase's
+        # rules run only on steps where some run is in that phase
+        if live2 < batch:
+            acc1 = ~in2 & ~m_r & ~m_l & coin(u_acc, phase1_rule(a, w_r, w_l))
+            new_mark = np.where(acc1, right, -1)
+        else:
+            new_mark = np.full(batch, -1, dtype=np.int64)
+        if live2:
+            same = right == left
+            mixed = in2 & (m_r != m_l)
+            solo = in2 & same & ~m_r
+            # the unmarked hand; on a solo draw w_r = w_l, so mixed_rule
+            # gives solo_rule's a / w_u and the two share one coin
+            free_hand = np.where(m_r, left, right)
+            ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
+            new_mark = np.where((solo | mixed) & ok, free_hand, new_mark)
+            move = mixed & ~ok
+            lowest = np.where(right < n, low[:, 0], low[:, 1])
+            cand = np.flatnonzero(in2 & ~same & m_r & m_l & (lowest == right))
+            if cand.size:
+                u = assigned_card(marked[cand], n, right[cand], left[cand])
+                ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
+                new_mark[cand[ok4]] = u[ok4]
         do_mark = new_mark >= 0
 
         if census is not None:
@@ -466,7 +472,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             rows1 = np.flatnonzero(~in2)
             if rows1.size:
                 np.add.at(census.phase1_steps, cells[rows1], 1)
-                marked1 = acc1[rows1]
+                marked1 = do_mark[rows1]
                 if marked1.any():
                     np.add.at(census.phase1_marks, cells[rows1[marked1]], 1)
             rows2 = np.flatnonzero(in2 & (k < deck))
@@ -474,13 +480,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 kind = np.full(batch, STAY, dtype=np.int64)
                 kind[do_mark & (new_mark >= n)] = B_UP
                 kind[do_mark & (new_mark < n)] = A_UP
-                kind[(mv2 & (right < n)) | (mv3 & (left < n))] = MOVE
+                kind[move & (free_hand < n)] = MOVE
                 np.add.at(census.phase2_counts, (cells[rows2], kind[rows2]), 1)
 
         midx = np.flatnonzero(do_mark)
         if midx.size:
             cards = new_mark[midx]
-            marked[midx, cards] = True
+            flat_marked[row_base[midx] + cards] = True
             k[midx] += 1
             is_a = cards < n
             ka[midx] += is_a
@@ -502,33 +508,36 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 out_tfull[orig[fin]] = t
                 out_decks[orig[fin][:, None], pos_of[fin]] = labels
 
-        vidx = np.flatnonzero(mv2 | mv3)
-        if vidx.size:
-            src = np.where(mv2[vidx], left[vidx], right[vidx])
-            dst = np.where(mv2[vidx], right[vidx], left[vidx])
-            marked[vidx, src] = False
-            marked[vidx, dst] = True
-            ka[vidx] += (dst < n).astype(np.int16) - (src < n).astype(np.int16)
-            col = (dst >= n).astype(np.intp)
-            low[vidx, col] = np.minimum(low[vidx, col], dst)
-            col = (src >= n).astype(np.intp)
-            lost = np.flatnonzero(low[vidx, col] == src)
-            if lost.size:
-                # phase two keeps a mark of each type, so one is always found
-                lrows, lcol = vidx[lost], col[lost]
-                own = (labels >= n) == (src[lost] >= n)[:, None]
-                low[lrows, lcol] = np.argmax(marked[lrows] & own, axis=1)
+        if live2:
+            vidx = np.flatnonzero(move)
+            if vidx.size:
+                src = np.where(m_r[vidx], right[vidx], left[vidx])
+                dst = free_hand[vidx]
+                flat_marked[row_base[vidx] + src] = False
+                flat_marked[row_base[vidx] + dst] = True
+                ka[vidx] += (dst < n).astype(np.int16) - (src < n).astype(np.int16)
+                col = (dst >= n).astype(np.intp)
+                low[vidx, col] = np.minimum(low[vidx, col], dst)
+                col = (src >= n).astype(np.intp)
+                lost = np.flatnonzero(low[vidx, col] == src)
+                if lost.size:
+                    # phase two keeps a mark of each type, so one is always found
+                    lrows, lcol = vidx[lost], col[lost]
+                    own = (labels >= n) == (src[lost] >= n)[:, None]
+                    low[lrows, lcol] = np.argmax(marked[lrows] & own, axis=1)
 
-        alive = k < deck
-        dead = np.count_nonzero(~alive)
-        if dead and (dead * 8 >= batch or dead == batch):
-            keep = np.flatnonzero(alive)
-            pos_of = pos_of[keep]
-            marked = marked[keep]
-            k = k[keep]
-            ka = ka[keep]
-            low = low[keep]
-            orig = orig[keep]
+        # only a mark can finish a run
+        if midx.size:
+            alive = k < deck
+            dead = np.count_nonzero(~alive)
+            if dead and (dead * 8 >= batch or dead == batch):
+                keep = np.flatnonzero(alive)
+                pos_of = pos_of[keep]
+                marked = marked[keep]
+                k = k[keep]
+                ka = ka[keep]
+                low = low[keep]
+                orig = orig[keep]
 
     return BulkMarkingResult(
         decks=out_decks, t_phase1=out_tp1, t_full=out_tfull,
@@ -576,7 +585,7 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
     }
     if conditional_m is not None:
         report["conditional"] = _conditional_uniformity(
-            result.hit_labels, result.hit_positions, conditional_m)
+            result.hit_labels, result.hit_positions, conditional_m, deck)
     return report
 
 
@@ -593,16 +602,22 @@ def _chisquare(counts: np.ndarray) -> tuple[float, float]:
     return statistic, float(chdtrc(observed.size - 1, statistic))
 
 
-def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int) -> dict:
+def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int,
+                            deck: int) -> dict:
     from scipy.special import chdtrc
     arr_cells = factorials(m)[m]
     order = np.argsort(positions, axis=1)
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(m)[None, :], axis=1)
     arrangement = encode_many(ranks)
-    klass = np.concatenate([labels, np.sort(positions, axis=1)], axis=1)
-    _, class_id, class_count = np.unique(
-        klass, axis=0, return_inverse=True, return_counts=True)
+    # one key per (marked labels, sorted positions) class: its 2m digits in
+    # radix deck, so keys sort as the rows do; deck ** (2m) fits int64 at
+    # every deck whose deck! cells a uniformity run can fill
+    key = np.zeros(labels.shape[0], dtype=np.int64)
+    for digits in (labels, np.sort(positions, axis=1)):
+        for col in digits.T:
+            key = key * deck + col
+    _, class_id, class_count = np.unique(key, return_inverse=True, return_counts=True)
     min_samples = 50 * arr_cells
     p_values = []
     tested = 0

@@ -63,12 +63,6 @@ def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
                          p_stay=1.0 - p_b_up - p_a_up - p_move)
 
 
-def rate_mark_a(n: int, a: float, ka: int, kb: int) -> float:
-    """Per-step probability that the marked type-A count increases."""
-    row = transition_row(n, a, ka, kb)
-    return row.p_a_up + row.p_move
-
-
 def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
     """Lower bound a (n - ka) (2 c1 - 1) / n, valid once ka + kb >= 2 n c1."""
     _check_c1(c1)

@@ -108,11 +108,35 @@ def lex_rank(perm) -> int:
     return rank
 
 
+def lex_unrank(rank: int, deck: int) -> tuple[int, ...]:
+    """Inverse of :func:`lex_rank`: the permutation of 0..deck-1 at ``rank``."""
+    if not 0 <= rank < _factorial(deck):
+        raise ValueError("rank out of range")
+    avail = list(range(deck))
+    out = []
+    for i in range(deck):
+        digit, rank = divmod(rank, _factorial(deck - 1 - i))
+        out.append(avail.pop(digit))
+    return tuple(out)
+
+
 def _factorial(m: int) -> int:
     out = 1
     for i in range(2, m + 1):
         out *= i
     return out
+
+
+def derangement_count(m: int) -> int:
+    """Number of permutations of m items with no fixed point, exactly."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    prev2, prev = 1, 0  # d(0), d(1)
+    if m == 0:
+        return prev2
+    for i in range(2, m + 1):
+        prev2, prev = prev, (i - 1) * (prev + prev2)
+    return prev
 
 
 def uniform_fixed_mass_enumerated(n: int, threshold: int) -> float:

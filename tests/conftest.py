@@ -1,16 +1,29 @@
 """Shared acceptance-line reporting: one PASS/FAIL line per criterion check."""
+import time
+
+import pytest
 
 ACCEPTANCE_LINES: list[str] = []
 
+# perf_counter() when the running test began, set by the fixture below.
+_TEST_START = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _start_clock():
+    _TEST_START[0] = time.perf_counter()
+
 
 def record_criterion(name: str, passed: bool, detail: str) -> None:
-    """Log one acceptance check, then enforce it.
+    """Log one acceptance check with the seconds since its test began, then enforce it.
 
     The line lands both in the test's captured output and in a summary
     section at the end of the run, so failing checks stay visible next to
     the passing ones.
     """
-    line = f"criterion {name}: {'PASS' if passed else 'FAIL'} -- {detail}"
+    elapsed = time.perf_counter() - _TEST_START[0]
+    line = (f"criterion {name}: {'PASS' if passed else 'FAIL'} -- {detail} "
+            f"[{elapsed:.2f}s into the test]")
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert passed, line

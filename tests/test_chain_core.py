@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from biased_shuffle import chain_core
 from biased_shuffle.chain_core import (
     BiasProfile,
     DeckState,
+    HandStream,
     MoveRecord,
     hands_from_uniforms,
     make_bias_profile,
@@ -14,6 +16,16 @@ from biased_shuffle.chain_core import (
     stream_rng,
 )
 from biased_shuffle.marking import MarkingState
+
+
+def is_bijection(d: DeckState) -> bool:
+    """``card_at`` is a permutation of the labels and ``pos_of`` its inverse."""
+    seen = bytearray(d.deck_size)
+    for card in d.card_at:
+        if not 0 <= card < d.deck_size or seen[card]:
+            return False
+        seen[card] = 1
+    return all(d.card_at[d.pos_of[c]] == c for c in range(d.deck_size))
 
 
 class _Replay:
@@ -153,7 +165,7 @@ class TestDeckState:
         d = DeckState(3)
         assert d.card_at == list(range(6))
         assert d.pos_of == list(range(6))
-        assert d.is_bijection()
+        assert is_bijection(d)
 
     def test_swap_and_inverse_consistency(self):
         d = DeckState(2)
@@ -161,7 +173,7 @@ class TestDeckState:
         assert d.card_at[0] == 3 and d.card_at[3] == 0
         assert d.pos_of[3] == 0 and d.pos_of[0] == 3
         d.swap_cards(1, 1)  # no-op
-        assert d.is_bijection()
+        assert is_bijection(d)
 
     def test_copy_is_independent(self):
         d = DeckState(2)
@@ -176,7 +188,7 @@ class TestDeckState:
         pairs = rng.integers(0, 8, size=(200_000, 2))
         for c1, c2 in pairs:
             d.swap_cards(int(c1), int(c2))
-        assert d.is_bijection()
+        assert is_bijection(d)
         # replaying the same swaps restores the identity
         for c1, c2 in pairs[::-1]:
             d.swap_cards(int(c1), int(c2))
@@ -192,7 +204,7 @@ class TestStep:
             move = ms.apply_walk_move(rng)
             assert isinstance(move, MoveRecord)
             assert move.t == ms.t == expected_t
-        assert ms.deck.is_bijection()
+        assert is_bijection(ms.deck)
 
     def test_one_step_law_unbiased(self):
         # at a=1 a single step leaves identity w.p. 1/4, else a uniform swap
@@ -221,3 +233,18 @@ class TestStreams:
         c = stream_rng(43, 1, 2).random(5)
         assert not (a == b).all()
         assert not (a == c).all()
+
+
+class TestHandStream:
+    @pytest.mark.parametrize("block", [8, chain_core.HAND_BLOCK])
+    def test_takes_match_per_call_draws(self, monkeypatch, block):
+        # takes that fit a block, cross a refill, outgrow a block, or are empty
+        monkeypatch.setattr(chain_core, "HAND_BLOCK", block)
+        p = make_bias_profile(5, 0.3)
+        stream = HandStream(p, stream_rng(8, 60))
+        rng = stream_rng(8, 60)
+        for m in (3, 5, 1, 0, block - 2, 7, 2 * block + 5, 4, block, 11):
+            u, hands = stream.take(m)
+            want = rng.random(m)
+            assert u.tolist() == want.tolist()
+            assert hands.tolist() == hands_from_uniforms(p, want).tolist()

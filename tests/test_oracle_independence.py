@@ -9,6 +9,7 @@ FAST_PATHS = frozenset({
     "assigned_card",
     "bulk_marking_runs",
     "hands_from_uniforms",
+    "HandStream",
     "build_operator",
     "TransitionOperator",
     "expected_absorption",

@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from biased_shuffle import chain_core
 from biased_shuffle.bounds import simulate_walks
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
@@ -242,6 +243,15 @@ def test_bulk_engine_bytes(name):
     assert bulk_digest(**kwargs) == expected
 
 
+@pytest.mark.parametrize("name", sorted(BULK))
+def test_bulk_engine_bytes_with_tiny_hand_blocks(monkeypatch, name):
+    # blocks of 7 uniforms refill on nearly every take and every take
+    # crosses a block boundary or outgrows a block
+    monkeypatch.setattr(chain_core, "HAND_BLOCK", 7)
+    kwargs, expected = BULK[name]
+    assert bulk_digest(**kwargs) == expected
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR))
 def test_scalar_engine_bytes(name):
     kwargs, expected = SCALAR[name]
@@ -274,6 +284,13 @@ def test_table_cli_bytes(capsys, name):
 
 @pytest.mark.parametrize("name", sorted(WALK))
 def test_walk_bytes(name):
+    kwargs, expected = WALK[name]
+    assert walk_digest(**kwargs) == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALK))
+def test_walk_bytes_with_tiny_hand_blocks(monkeypatch, name):
+    monkeypatch.setattr(chain_core, "HAND_BLOCK", 7)
     kwargs, expected = WALK[name]
     assert walk_digest(**kwargs) == expected
 

@@ -16,12 +16,17 @@ from biased_shuffle.type_chain import (
     harmonic_probe,
     phase2_time_scale,
     phase2_upper_bound,
-    rate_mark_a,
     rate_mark_a_floor,
     simulate_absorption,
     transition_row,
     variance_bound,
 )
+
+
+def rate_mark_a(n, a, ka, kb):
+    """Per-step probability that the marked type-A count increases."""
+    row = transition_row(n, a, ka, kb)
+    return row.p_a_up + row.p_move
 
 
 def rational_bound_table(n, a):
