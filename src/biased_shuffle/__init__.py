@@ -13,15 +13,13 @@ __version__ = "0.1.0"
 from .chain_core import (
     BiasProfile,
     DeckState,
-    MoveRecord,
     DEFAULT_SEED,
+    hands_from_uniforms,
     make_bias_profile,
-    sample_hand,
     stream_rng,
 )
 from .exact_analysis import (
     CapacityError,
-    DistanceCurve,
     TransitionOperator,
     build_operator,
     cutoff_profile,

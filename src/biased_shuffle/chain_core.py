@@ -14,7 +14,6 @@ i) and results do not depend on batching or worker layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class BiasProfile:
     def hand_probability(self, card: int) -> float:
         return self.weight(card) / self.deck_size
 
-    def is_type_a(self, card: int) -> bool:
-        return 0 <= card < self.n
-
     def weights(self) -> np.ndarray:
         """Vector of hand weights indexed by card label."""
         w = np.full(self.deck_size, self.b)
@@ -89,14 +85,6 @@ def make_bias_profile(n: int, a: float) -> BiasProfile:
     return BiasProfile(n=int(n), a=float(a))
 
 
-class MoveRecord(NamedTuple):
-    """One applied step: right and left hand cards at step t (1-based)."""
-
-    t: int
-    right: int
-    left: int
-
-
 class DeckState:
     """Mutable permutation state.
 
@@ -106,28 +94,14 @@ class DeckState:
 
     __slots__ = ("n", "card_at", "pos_of")
 
-    def __init__(self, n: int, card_at: list[int] | None = None):
+    def __init__(self, n: int):
         self.n = n
-        if card_at is None:
-            self.card_at = list(range(2 * n))
-        else:
-            if sorted(card_at) != list(range(2 * n)):
-                raise ValueError("card_at is not a permutation of 0..2n-1")
-            self.card_at = list(card_at)
-        self.pos_of = [0] * (2 * n)
-        for pos, card in enumerate(self.card_at):
-            self.pos_of[card] = pos
+        self.card_at = list(range(2 * n))
+        self.pos_of = list(range(2 * n))
 
     @property
     def deck_size(self) -> int:
         return 2 * self.n
-
-    def copy(self) -> "DeckState":
-        out = DeckState.__new__(DeckState)
-        out.n = self.n
-        out.card_at = list(self.card_at)
-        out.pos_of = list(self.pos_of)
-        return out
 
     def swap_cards(self, c1: int, c2: int) -> None:
         """Exchange the positions of two cards (no-op when c1 == c2)."""
@@ -135,35 +109,17 @@ class DeckState:
         self.pos_of[c1], self.pos_of[c2] = p2, p1
         self.card_at[p1], self.card_at[p2] = c2, c1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DeckState) and self.card_at == other.card_at
-
-    def __repr__(self) -> str:
-        return f"DeckState({self.card_at})"
-
-
-def sample_hand(profile: BiasProfile, rng: np.random.Generator) -> int:
-    """Draw one card label from the hand law by inverse CDF.
-
-    Evaluates the expressions of :func:`hands_from_uniforms`, so a uniform
-    maps to the same card in the scalar and the batched engines.
-    """
-    u = rng.random()
-    n, size = profile.n, profile.deck_size
-    half_a = 0.5 * profile.a  # total mass of the type-A block
-    if u < half_a:
-        return min(int(u * (size / profile.a)), n - 1)
-    return n + min(int((u - half_a) * (size / profile.b)), n - 1)
-
 
 def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse-CDF map from uniforms in [0, 1) to int64 card labels.
+    """The hand law: inverse-CDF map from uniforms in [0, 1) to int64 card labels.
 
-    Each uniform, in an array of any shape, is scaled once by its own type's
-    block with the expressions of :func:`sample_hand` (``u - 0.0`` is ``u``).
+    Every engine draws its hands through this map.  Each uniform, in an
+    array of any shape, is shifted by the mass of the blocks below its type
+    (a / 2 for type B, none for type A), scaled by its block's N / w and
+    clipped into the block's n labels.
     """
     n, size = profile.n, profile.deck_size
-    half_a = 0.5 * profile.a
+    half_a = 0.5 * profile.a  # total mass of the type-A block
     is_b = (u >= half_a).astype(np.intp)
     shift = np.array([0.0, half_a])
     scale = np.array([size / profile.a, size / profile.b])

@@ -39,6 +39,7 @@ from .chain_core import DEFAULT_SEED, STREAM_MARKING, make_bias_profile, stream_
 from .exact_analysis import (
     CapacityError,
     build_operator,
+    check_eps,
     cutoff_profile,
     mixing_time,
     theory_time,
@@ -53,16 +54,11 @@ class InvariantViolation(Exception):
     pass
 
 
-def _int_list(value) -> list[int]:
+def _list(value, cast) -> list:
+    """A comma-separated string or a config-file list, each item through ``cast``."""
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(part) for part in str(value).split(",") if part.strip()]
-
-
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(part) for part in str(value).split(",") if part.strip()]
+        return [cast(v) for v in value]
+    return [cast(part) for part in str(value).split(",") if part.strip()]
 
 
 def _profile_from(ns) -> "BiasProfile":
@@ -131,17 +127,17 @@ def read_header(path: str) -> dict:
 
 def cmd_exact(ns) -> int:
     profile = _profile_from(ns)
-    op = build_operator(profile, max_deck=int(ns.max_deck))
     t_max = int(ns.t_max) if ns.t_max is not None else 2 * theory_time(profile)
     if t_max < 0:
         raise UsageError("t-max must be nonnegative")
-    curve = cutoff_profile(op, range(t_max + 1))
+    eps = check_eps(float(ns.eps))
+    op = build_operator(profile)
+    rows = cutoff_profile(op, range(t_max + 1))
     result = {
         "theory_time": theory_time(profile),
-        "mixing_time_tv": mixing_time(op, float(ns.eps), metric="tv"),
-        "mixing_time_separation": mixing_time(op, float(ns.eps), metric="separation"),
+        "mixing_time_tv": mixing_time(op, eps, metric="tv"),
+        "mixing_time_separation": mixing_time(op, eps, metric="separation"),
     }
-    rows = [(t, tv, sep) for t, tv, sep in curve.rows]
     _emit(ns, ("t", "tv", "separation"), rows, result=result)
     return 0
 
@@ -164,10 +160,12 @@ def cmd_marking(ns) -> int:
     trials = int(ns.trials)
     seed = int(ns.seed)
     checks = int(ns.verify_factorization)
+    if checks < 0:
+        raise UsageError("verify-factorization must be nonnegative")
     for i in range(checks):
         rng = stream_rng(seed, STREAM_MARKING, 7, i)
         try:
-            marking.run_to_full_marking(profile, c1, rng, check_each_step=True)
+            marking.run_to_full_marking(profile, c1, rng)
         except AssertionError as exc:
             raise InvariantViolation(f"factorization check failed: {exc}") from exc
     if ns.mode == "uniformity":
@@ -223,10 +221,10 @@ def cmd_lowerbound(ns) -> int:
     threshold = int(ns.threshold) if ns.threshold is not None \
         else bounds.suggested_threshold(profile.n)
     if ns.t_list is not None:
-        ts = _int_list(ns.t_list)
+        ts = _list(ns.t_list, int)
     else:
         star = theory_time(profile)
-        ts = sorted({max(1, round(m * star)) for m in _float_list(ns.multiples)})
+        ts = sorted({max(1, round(m * star)) for m in _list(ns.multiples, float)})
     rows = bounds.lower_bound_sweep(profile, ts, threshold,
                                     int(ns.trials), int(ns.seed))
     _emit(ns, ("t", "threshold", "estimate", "stderr", "uniform_mass", "bound"),
@@ -236,8 +234,8 @@ def cmd_lowerbound(ns) -> int:
 
 def cmd_conjecture(ns) -> int:
     rows = []
-    for n in _int_list(ns.n_list):
-        for c1 in _float_list(ns.c1_list):
+    for n in _list(ns.n_list, int):
+        for c1 in _list(ns.c1_list, float):
             probe = type_chain.harmonic_probe(n, c1, float(ns.a))
             rows.append((n, c1, float(ns.a), probe["weighted_sum"],
                          probe["harmonic"], probe["ratio"]))
@@ -265,7 +263,6 @@ def build_parser():
                        help="JSON file supplying option defaults")
         p.add_argument("--out", default=None,
                        help="output path ('-' or omitted: stdout)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         registry[name] = p
         return p
 
@@ -274,15 +271,16 @@ def build_parser():
     p.add_argument("-a", type=float, default=1.0, dest="a")
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--max-deck", type=int, default=8)
 
     p = sub("simulate", cmd_simulate, "sample the in-place count along the walk")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--deck", type=int, default=12)
     p.add_argument("-a", type=float, default=0.5, dest="a")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
 
     p = sub("marking", cmd_marking, "two-phase marking runs and checks")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--deck", type=int, default=4)
     p.add_argument("-a", type=float, default=0.5, dest="a")
     p.add_argument("--c1", type=float, default=0.75)
@@ -302,6 +300,7 @@ def build_parser():
                    default="rows")
 
     p = sub("lowerbound", cmd_lowerbound, "coupon-collector TV lower bound")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--deck", type=int, default=12)
     p.add_argument("-a", type=float, default=0.5, dest="a")
     p.add_argument("--threshold", type=int, default=None)
@@ -349,10 +348,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

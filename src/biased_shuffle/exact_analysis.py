@@ -20,9 +20,6 @@ import numpy as np
 
 from .chain_core import BiasProfile
 
-# Past 8 cards the dense state vector stops being a laptop object.
-DEFAULT_MAX_DECK = 8
-
 # Largest exact_bytes estimate that build_operator accepts: deck 10 needs
 # about 1.3 GB, deck 12 about 220 GB.
 EXACT_BYTE_BUDGET = 2 * 1024**3
@@ -34,21 +31,13 @@ class CapacityError(ValueError):
     """Requested size exceeds what exact mode is allowed to materialise."""
 
 
-def factorials(upto: int) -> list[int]:
-    out = [1]
-    for i in range(1, upto + 1):
-        out.append(out[-1] * i)
-    return out
-
-
 def encode_many(perms: np.ndarray) -> np.ndarray:
     """Vectorised Lehmer rank of each row of an (M, N) permutation array."""
     deck = perms.shape[1]
-    fact = factorials(deck)
     rank = np.zeros(perms.shape[0], dtype=np.int64)
     for i in range(deck - 1):
         smaller = (perms[:, i + 1:] < perms[:, i:i + 1]).sum(axis=1)
-        rank += smaller.astype(np.int64) * fact[deck - 1 - i]
+        rank += smaller.astype(np.int64) * math.factorial(deck - 1 - i)
     return rank
 
 
@@ -96,12 +85,9 @@ def exact_bytes(deck: int) -> int:
     return math.factorial(deck) * (56 + 9 * deck + 4 * pairs + 8 * 4)
 
 
-def build_operator(profile: BiasProfile, max_deck: int = DEFAULT_MAX_DECK) -> TransitionOperator:
+def build_operator(profile: BiasProfile) -> TransitionOperator:
     """Materialise the neighbour table for the deck in ``profile``."""
     deck = profile.deck_size
-    if deck > max_deck:
-        raise CapacityError(
-            f"deck of {deck} cards exceeds exact-mode limit of {max_deck}")
     need = exact_bytes(deck)
     if need > EXACT_BYTE_BUDGET:
         raise CapacityError(
@@ -160,6 +146,13 @@ def distance_scan(op: TransitionOperator):
         t += 1
 
 
+def check_eps(eps: float) -> float:
+    """``eps`` if it lies in (0, 1), the range of a mixing-time threshold."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    return eps
+
+
 def mixing_time(op: TransitionOperator, eps: float,
                 metric: str = "separation") -> int:
     """Smallest t with distance(t) <= eps from the identity start.
@@ -167,8 +160,7 @@ def mixing_time(op: TransitionOperator, eps: float,
     Reads :func:`distance_scan` up to the first crossing, so no
     monotonicity of the distance in t is assumed.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    check_eps(eps)
     try:
         col = _METRIC_COLUMN[metric]
     except KeyError:
@@ -176,32 +168,14 @@ def mixing_time(op: TransitionOperator, eps: float,
     return next(row[0] for row in distance_scan(op) if row[col] <= eps)
 
 
-@dataclass
-class DistanceCurve:
-    """Sampled (t, tv, sep) rows of the distance-to-uniform profile."""
-
-    rows: list[tuple[int, float, float]]
-
-    @property
-    def t(self) -> list[int]:
-        return [r[0] for r in self.rows]
-
-    @property
-    def tv(self) -> list[float]:
-        return [r[1] for r in self.rows]
-
-    @property
-    def sep(self) -> list[float]:
-        return [r[2] for r in self.rows]
-
-
-def cutoff_profile(op: TransitionOperator, t_values) -> DistanceCurve:
-    """Evaluate both distances at each requested step count."""
+def cutoff_profile(op: TransitionOperator,
+                   t_values) -> list[tuple[int, float, float]]:
+    """The (t, tv, separation) rows at each requested step count, ascending in t."""
     wanted = set(int(t) for t in t_values)
     if wanted and min(wanted) < 0:
         raise ValueError("t values must be non-negative")
     rows = itertools.islice(distance_scan(op), max(wanted, default=-1) + 1)
-    return DistanceCurve(rows=[row for row in rows if row[0] in wanted])
+    return [row for row in rows if row[0] in wanted]
 
 
 def theory_time(profile: BiasProfile, multiple: float = 1.0) -> int:

@@ -45,13 +45,12 @@ from . import type_chain
 from .chain_core import (
     BiasProfile,
     DeckState,
-    MoveRecord,
     STREAM_MARKING,
     HandStream,
-    sample_hand,
+    hands_from_uniforms,
     stream_rng,
 )
-from .exact_analysis import encode_many, factorials
+from .exact_analysis import encode_many
 
 
 def mark_threshold(deck: int, c1: float) -> int:
@@ -142,10 +141,6 @@ class MarkingState:
         self.mark_times: list[int | None] = [0] + [None] * deck
 
     @property
-    def mark_order(self) -> list[int]:
-        return self.phi[: self.k]
-
-    @property
     def done(self) -> bool:
         return self.k == self.profile.deck_size
 
@@ -180,13 +175,12 @@ class MarkingState:
         self._phi_swap(i, j)
         self._psi_swap(i, j)
 
-    def apply_walk_move(self, rng: np.random.Generator) -> MoveRecord:
-        """Sample hands, apply the swap to the deck, advance the clock."""
-        right = sample_hand(self.profile, rng)
-        left = sample_hand(self.profile, rng)
+    def apply_walk_move(self, rng: np.random.Generator) -> tuple[int, int]:
+        """Draw the (right, left) hands, swap them in the deck, advance the clock."""
+        right, left = hands_from_uniforms(self.profile, rng.random(2)).tolist()
         self.deck.swap_cards(right, left)
         self.t += 1
-        return MoveRecord(t=self.t, right=right, left=left)
+        return right, left
 
     def _record_mark(self, card: int) -> None:
         self.marked[card] = True
@@ -216,9 +210,9 @@ class MarkingState:
         self.ka += int(dst < n) - int(src < n)
 
 
-def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
+def phase1_step(ms: MarkingState, right: int, left: int,
+                rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase one."""
-    right, left = move.right, move.left
     a, w = ms.profile.a, ms.profile.weight
     if (not ms.marked[right] and not ms.marked[left]
             and ms._accept(phase1_rule(a, w(right), w(left)), rng)):
@@ -236,9 +230,9 @@ def phase1_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) ->
         ms._move_update(right, left)
 
 
-def phase2_step(ms: MarkingState, move: MoveRecord, rng: np.random.Generator) -> None:
+def phase2_step(ms: MarkingState, right: int, left: int,
+                rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase two."""
-    right, left = move.right, move.left
     a, w = ms.profile.a, ms.profile.weight
     m_right, m_left = ms.marked[right], ms.marked[left]
     if right == left:
@@ -296,24 +290,26 @@ class MarkingRunRecord:
 
 def run_to_full_marking(profile: BiasProfile, c1: float, rng: np.random.Generator,
                         *, always_mark: bool = False,
-                        check_each_step: bool = False,
-                        record_transitions: bool = False,
-                        step_cap: int | None = None) -> MarkingRunRecord:
-    """Drive one trajectory until every card is marked."""
+                        record_transitions: bool = False) -> MarkingRunRecord:
+    """Drive one trajectory until every card is marked.
+
+    Checks the factorization after every step and raises AssertionError at
+    the first step where it fails.
+    """
     ms = MarkingState(profile, c1, always_mark=always_mark)
-    cap = default_step_cap(profile.deck_size) if step_cap is None else step_cap
+    cap = default_step_cap(profile.deck_size)
     transitions: list | None = [] if record_transitions else None
     while not ms.done:
-        move = ms.apply_walk_move(rng)
+        right, left = ms.apply_walk_move(rng)
         pre_phase2 = ms.phase2
         pre = (ms.ka, ms.kb)
         if pre_phase2:
-            phase2_step(ms, move, rng)
+            phase2_step(ms, right, left, rng)
         else:
-            phase1_step(ms, move, rng)
+            phase1_step(ms, right, left, rng)
         if record_transitions and pre_phase2:
             transitions.append((pre, (ms.ka, ms.kb)))
-        if check_each_step and factorization_check(ms) != 0:
+        if factorization_check(ms) != 0:
             raise AssertionError(f"factorization broke at step {ms.t}")
         if ms.t > cap:
             raise RuntimeError(
@@ -549,28 +545,27 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 # --------------------------------------------------------------------------
 
 def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
-                    *, conditional_m: int | None = 2,
-                    always_mark: bool = False) -> dict:
+                    *, always_mark: bool = False) -> dict:
     """Chi-square test that the deck at full marking is uniform over N!.
 
-    Also reports the conditional diagnostic: at the first step with m cards
-    marked, within each observed (marked labels, marked positions) class,
-    chi-square of the induced arrangement against uniform over m! cells.
+    Also reports the conditional diagnostic: at the first step with m = 2
+    cards marked, within each observed (marked labels, marked positions)
+    class, chi-square of the induced arrangement against uniform over m! cells.
     Classes with fewer than 50 m! samples are skipped.  At a = 1 the
     conditional law is exactly uniform; under bias it carries a small
     systematic deviation (order 1e-2 per class at deck size 4), so treat
     the conditional p-values as a sensitivity probe, not a pass gate.
     """
     deck = profile.deck_size
-    cells = factorials(deck)[deck]
+    cells = math.factorial(deck)
     if trials < 100 * cells:
         raise ValueError(f"need at least {100 * cells} trials for {cells} cells")
     result = bulk_marking_runs(profile, c1, trials, seed,
                                always_mark=always_mark,
-                               record_first_k=conditional_m)
+                               record_first_k=2)
     counts = np.bincount(encode_many(result.decks), minlength=cells)
     statistic, p_value = _chisquare(counts)
-    report = {
+    return {
         "deck": deck,
         "a": profile.a,
         "c1": c1,
@@ -582,11 +577,9 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
         "p_value": p_value,
         "mean_t_phase1": float(result.t_phase1.mean()),
         "mean_t_full": float(result.t_full.mean()),
+        "conditional": _conditional_uniformity(
+            result.hit_labels, result.hit_positions, 2, deck),
     }
-    if conditional_m is not None:
-        report["conditional"] = _conditional_uniformity(
-            result.hit_labels, result.hit_positions, conditional_m, deck)
-    return report
 
 
 def _chisquare(counts: np.ndarray) -> tuple[float, float]:
@@ -605,7 +598,7 @@ def _chisquare(counts: np.ndarray) -> tuple[float, float]:
 def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int,
                             deck: int) -> dict:
     from scipy.special import chdtrc
-    arr_cells = factorials(m)[m]
+    arr_cells = math.factorial(m)
     order = np.argsort(positions, axis=1)
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(m)[None, :], axis=1)

@@ -16,13 +16,6 @@ import numpy as np
 from .chain_core import stream_rng, STREAM_TYPECHAIN
 
 
-class TypeCount(NamedTuple):
-    """Counts of marked cards by type."""
-
-    ka: int
-    kb: int
-
-
 class TransitionRow(NamedTuple):
     """One-step law of the type-count chain at a given state."""
 
@@ -176,7 +169,7 @@ def phase2_upper_bound(n: int, a: float, c1: float, const_term: float = 4.0) -> 
     return phase2_time_scale(n, a, c1) * (math.log(deck) + math.log(math.log(deck)) + const_term)
 
 
-def simulate_absorption(n: int, a: float, start: TypeCount | tuple[int, int],
+def simulate_absorption(n: int, a: float, start: tuple[int, int],
                         trials: int, seed: int) -> np.ndarray:
     """Monte Carlo absorption step counts via the jump chain.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from biased_shuffle import make_bias_profile
-from biased_shuffle.chain_core import MoveRecord
 from biased_shuffle.marking import (
     MarkingState,
     mark_threshold,
@@ -294,8 +293,7 @@ def phase1_path_distribution(a: float, steps: int, deck: int = 4):
                     child = copy.deepcopy(ms)
                     child.deck.swap_cards(r, l)
                     child.t += 1
-                    phase1_step(child, MoveRecord(child.t, r, l),
-                                _FixedCoin(coin))
+                    phase1_step(child, r, l, _FixedCoin(coin))
                     rec(child, depth + 1, base * weight)
 
     # c1 close to one keeps every enumerated step inside phase one

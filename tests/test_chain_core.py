@@ -9,10 +9,8 @@ from biased_shuffle.chain_core import (
     BiasProfile,
     DeckState,
     HandStream,
-    MoveRecord,
     hands_from_uniforms,
     make_bias_profile,
-    sample_hand,
     stream_rng,
 )
 from biased_shuffle.marking import MarkingState
@@ -26,35 +24,6 @@ def is_bijection(d: DeckState) -> bool:
             return False
         seen[card] = 1
     return all(d.card_at[d.pos_of[c]] == c for c in range(d.deck_size))
-
-
-class _Replay:
-    """Stand-in rng whose random() returns preset values in order."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
-
-
-def boundary_uniforms(n: int, a: float) -> np.ndarray:
-    """Uniforms at the hand law's card boundaries, three ulps either side.
-
-    The boundaries are j a / N inside the type-A block and a/2 + j b / N
-    inside the type-B block.
-    """
-    deck, b = 2 * n, 2.0 - a
-    j = np.arange(n + 1)
-    u = np.concatenate([j * a / deck, a / 2 + j * b / deck])
-    out = [u]
-    for toward in (-1.0, 2.0):
-        v = u
-        for _ in range(3):
-            v = np.nextafter(v, toward)
-            out.append(v)
-    u = np.concatenate(out)
-    return u[(u >= 0.0) & (u < 1.0)]
 
 
 class TestBiasProfile:
@@ -73,7 +42,6 @@ class TestBiasProfile:
 
     def test_type_split(self):
         p = make_bias_profile(3, 0.7)
-        assert [p.is_type_a(c) for c in range(6)] == [True] * 3 + [False] * 3
         assert p.weight(2) == pytest.approx(0.7)
         assert p.weight(3) == pytest.approx(1.3)
 
@@ -124,23 +92,6 @@ class TestSampling:
         rate = float((r == l).mean())
         assert abs(rate - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 200_000)
 
-    def test_vectorized_matches_scalar_inversion(self):
-        p = make_bias_profile(4, 0.3)
-        u = np.linspace(0.0, 1.0 - 1e-9, 4097)
-        vec = hands_from_uniforms(p, u)
-        rng = _Replay(u)
-        scalar = np.array([sample_hand(p, rng) for _ in u])
-        assert (vec == scalar).all()
-
-    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
-    def test_scalar_and_vector_forms_agree_at_card_boundaries(self, a):
-        for n in range(1, 200):
-            p = make_bias_profile(n, a)
-            u = boundary_uniforms(n, a)
-            rng = _Replay(u.tolist())
-            scalar = [sample_hand(p, rng) for _ in range(u.size)]
-            assert hands_from_uniforms(p, u).tolist() == scalar, f"n={n}"
-
     def test_edge_uniform_values_stay_in_range(self):
         p = make_bias_profile(2, 0.5)
         hands = hands_from_uniforms(p, np.array([0.0, 0.5 - 1e-16, 0.9999999, 1.0 - 1e-16]))
@@ -175,13 +126,6 @@ class TestDeckState:
         d.swap_cards(1, 1)  # no-op
         assert is_bijection(d)
 
-    def test_copy_is_independent(self):
-        d = DeckState(2)
-        e = d.copy()
-        e.swap_cards(0, 1)
-        assert d.card_at == list(range(4))
-        assert d != e
-
     def test_bijection_under_fuzzed_swaps(self):
         d = DeckState(4)
         rng = stream_rng(77, 52)
@@ -201,9 +145,9 @@ class TestStep:
         ms = MarkingState(p, 0.75)
         rng = stream_rng(6, 54)
         for expected_t in range(1, 6):
-            move = ms.apply_walk_move(rng)
-            assert isinstance(move, MoveRecord)
-            assert move.t == ms.t == expected_t
+            right, left = ms.apply_walk_move(rng)
+            assert type(right) is int and type(left) is int
+            assert ms.t == expected_t
         assert is_bijection(ms.deck)
 
     def test_one_step_law_unbiased(self):
@@ -212,9 +156,8 @@ class TestStep:
         rng = stream_rng(31, 55)
         stay = 0
         trials = 100_000
-        for _ in range(trials):
+        for right, left in hands_from_uniforms(p, rng.random((trials, 2))).tolist():
             d = DeckState(2)
-            right, left = sample_hand(p, rng), sample_hand(p, rng)
             d.swap_cards(right, left)
             if d.card_at == list(range(4)):
                 stay += 1

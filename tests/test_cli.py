@@ -176,9 +176,7 @@ class TestReproducibility:
                               "--eps", "0.1", "--t-max", "4"])
         header = read_header(str(out))
         assert header == {"command": "exact", "deck": 6, "a": 0.5,
-                          "eps": 0.1, "t_max": 4, "max_deck": 8,
-                          "seed": header["seed"],
-                          "version": header["version"]}
+                          "eps": 0.1, "t_max": 4, "version": header["version"]}
 
     def test_outdir_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIASED_SHUFFLE_OUTDIR", str(tmp_path))
@@ -225,19 +223,49 @@ class TestConfigFile:
         assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-class TestExitCodes:
-    def test_capacity(self):
-        assert main(["exact", "--deck", "10"]) == 3
+def _refuse_all_perms(monkeypatch):
+    """Make listing the permutations of a deck raise, so no exact work runs."""
+    class Listed(Exception):
+        pass
 
-    def test_capacity_over_byte_budget(self, monkeypatch, capsys):
+    def listed(deck):
+        raise Listed(deck)
+    monkeypatch.setattr(exact_analysis, "all_perms", listed)
+    return Listed
+
+
+class TestExitCodes:
+    def test_capacity(self, monkeypatch, capsys):
         # the byte estimate refuses deck 12 before any permutation is listed
-        def listed(deck):
-            raise AssertionError("all_perms ran for an oversized deck")
-        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        # and admits deck 10, which reaches the listing
+        listed = _refuse_all_perms(monkeypatch)
         start = time.perf_counter()
-        assert main(["exact", "--deck", "12", "--max-deck", "12"]) == 3
+        assert main(["exact", "--deck", "12"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
+        with pytest.raises(listed):
+            main(["exact", "--deck", "10"])
+
+    @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "0"],
+                                       ["--t-max", "-1"]])
+    def test_exact_rejects_bad_input_before_building(self, monkeypatch, capsys, flags):
+        _refuse_all_perms(monkeypatch)
+        assert main(["exact", "--deck", "8"] + flags) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exact", "typechain", "conjecture"])
+    def test_unseeded_commands_reject_seed(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3"])
+        assert exc.value.code == 2
+
+    def test_negative_verify_factorization(self, monkeypatch, capsys):
+        def ran(*args, **kwargs):
+            raise AssertionError("a factorization run started")
+        monkeypatch.setattr(cli.marking, "run_to_full_marking", ran)
+        assert main(["marking", "--deck", "4", "--trials", "10",
+                     "--verify-factorization", "-1"]) == 2
+        assert "verify-factorization" in capsys.readouterr().err
 
     def test_usage_odd_deck(self):
         assert main(["exact", "--deck", "5"]) == 2

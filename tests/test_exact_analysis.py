@@ -27,7 +27,6 @@ from biased_shuffle.exact_analysis import (
     distance_scan,
     encode_many,
     exact_bytes,
-    factorials,
     mixing_time,
     point_mass,
     separation_distance,
@@ -71,14 +70,15 @@ class TestRanking:
         with pytest.raises(ValueError):
             lex_unrank(-1, 4)
 
-    def test_factorials(self):
-        assert factorials(6) == [1, 1, 2, 6, 24, 120, 720]
-
 
 class TestOperator:
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            build_operator(make_bias_profile(5, 1.0), max_deck=8)
+    def test_capacity_guard(self, monkeypatch):
+        # the byte estimate refuses deck 12 before any permutation is listed
+        def listed(deck):
+            raise AssertionError("all_perms ran for an oversized deck")
+        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        with pytest.raises(CapacityError, match="budget"):
+            build_operator(make_bias_profile(6, 1.0))
 
     def test_byte_budget_admits_deck_10_only(self, monkeypatch):
         assert exact_bytes(10) <= EXACT_BYTE_BUDGET < exact_bytes(12)
@@ -90,9 +90,7 @@ class TestOperator:
             raise Listed
         monkeypatch.setattr(exact_analysis, "all_perms", listed)
         with pytest.raises(Listed):
-            build_operator(make_bias_profile(5, 0.5), max_deck=10)
-        with pytest.raises(CapacityError):
-            build_operator(make_bias_profile(6, 0.5), max_deck=12)
+            build_operator(make_bias_profile(5, 0.5))
 
     def test_one_step_unbiased_masses(self):
         # identity stays with probability 1/4, each transposition gets 1/8
@@ -187,19 +185,18 @@ class TestDistances:
     @pytest.mark.parametrize("deck,a", [(4, 0.5), (4, 1.0), (6, 0.25)])
     def test_tv_below_separation_and_monotone(self, deck, a):
         op = build_operator(make_bias_profile(deck // 2, a))
-        curve = cutoff_profile(op, range(0, 25))
-        tv = np.array(curve.tv)
-        sep = np.array(curve.sep)
+        _, tv, sep = np.array(cutoff_profile(op, range(0, 25))).T
         assert (tv <= sep + 1e-12).all()
         assert (np.diff(tv) <= 1e-12).all()
         assert (np.diff(sep) <= 1e-12).all()
 
     def test_cutoff_profile_matches_direct_evolution(self):
         op = build_operator(make_bias_profile(2, 0.5))
-        curve = cutoff_profile(op, [0, 2, 5])
+        rows = cutoff_profile(op, [0, 2, 5])
         d = evolve(op, point_mass(op), 5)
-        assert curve.rows[-1][1] == pytest.approx(tv_distance(d), abs=1e-14)
-        assert curve.rows[-1][2] == pytest.approx(separation_distance(d), abs=1e-14)
+        assert [row[0] for row in rows] == [0, 2, 5]
+        assert rows[-1][1] == pytest.approx(tv_distance(d), abs=1e-14)
+        assert rows[-1][2] == pytest.approx(separation_distance(d), abs=1e-14)
 
 
 class TestScan:
@@ -214,7 +211,7 @@ class TestScan:
         op = build_operator(make_bias_profile(2, 0.5))
         with pytest.raises(RuntimeError):
             mixing_time(op, 1e-9)
-        assert cutoff_profile(op, [3]).t == [3]
+        assert [row[0] for row in cutoff_profile(op, [3])] == [3]
 
     @pytest.mark.parametrize("argv,applies", [
         # both crossings (t = 5 and 8) inside the default t-max of 12

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from biased_shuffle.type_chain import (
     TransitionRow,
-    TypeCount,
     absorption_bound_table,
     expected_absorption,
     harmonic_number,
@@ -142,7 +141,7 @@ class TestExpectedAbsorption:
         assert abs(steps.mean() - exact) < 3 * sem
 
     def test_simulation_determinism_and_validation(self):
-        one = simulate_absorption(2, 0.5, TypeCount(0, 0), trials=500, seed=3)
+        one = simulate_absorption(2, 0.5, (0, 0), trials=500, seed=3)
         two = simulate_absorption(2, 0.5, (0, 0), trials=500, seed=3)
         assert (one == two).all()
         other = simulate_absorption(2, 0.5, (0, 0), trials=500, seed=4)
