@@ -235,16 +235,19 @@ def _refuse_all_perms(monkeypatch):
 
 
 class TestExitCodes:
-    def test_capacity(self, monkeypatch, capsys):
-        # the byte estimate refuses deck 12 before any permutation is listed
-        # and admits deck 10, which reaches the listing
+    def test_capacity(self, monkeypatch):
+        # the byte estimate admits deck 10, which reaches the listing
         listed = _refuse_all_perms(monkeypatch)
+        with pytest.raises(listed):
+            main(["exact", "--deck", "10"])
+
+    def test_capacity_over_byte_budget(self, monkeypatch, capsys):
+        # the byte estimate refuses deck 12 before any permutation is listed
+        _refuse_all_perms(monkeypatch)
         start = time.perf_counter()
         assert main(["exact", "--deck", "12"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
-        with pytest.raises(listed):
-            main(["exact", "--deck", "10"])
 
     @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "0"],
                                        ["--t-max", "-1"]])
