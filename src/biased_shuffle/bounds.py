@@ -28,6 +28,7 @@ from .chain_core import (
     STREAM_TOUCH,
     STREAM_WALK,
     HandStream,
+    check_bias,
     stream_rng,
 )
 
@@ -73,8 +74,7 @@ def coupon_expectation(n: int, threshold: int, a: float) -> float:
     """Expected hand picks until at most ``threshold`` type-A cards are untouched."""
     if not 0 <= threshold <= n:
         raise ValueError("threshold must lie in [0, n]")
-    if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
+    check_bias(a)
     harm = sum(1.0 / j for j in range(threshold + 1, n + 1))
     return (2 * n / a) * harm
 
@@ -129,7 +129,6 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     t_max = ts[-1] if ts else 0
     col_of = {t: i for i, t in enumerate(ts)}
     counts = np.empty((trials, len(ts)), dtype=np.int16)
-    touch_steps = np.full(trials, -1, dtype=np.int64) if tt is not None else None
     touch_picks = np.full(trials, -1, dtype=np.int64) if tt is not None else None
     if tt is not None:
         slack = coupon_expectation(n, tt, profile.a) if tt < n else 0.0
@@ -155,10 +154,8 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
         if tt is not None:
             untouched = np.ones((bsz, n), dtype=bool)
             ucnt = np.full(bsz, n, dtype=np.int32)
-            b_steps = np.full(bsz, -1, dtype=np.int64)
-            b_picks = np.full(bsz, -1, dtype=np.int64)
+            b_picks = touch_picks[start:stop]  # a view: hits land in the result
             if tt >= n:
-                b_steps[:] = 0
                 b_picks[:] = 0
         if 0 in col_of:
             counts[start:stop, col_of[0]] = cnt
@@ -193,12 +190,9 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
                     hit = idx[(ucnt[idx] <= tt) & (b_picks[idx] < 0)]
                     if hit.size:
                         b_picks[hit] = 2 * (s - 1) + ordinal
-                        b_steps[hit] = s
             if s in col_of:
                 counts[start:stop, col_of[s]] = cnt
-        if tt is not None:
-            touch_steps[start:stop] = b_steps
-            touch_picks[start:stop] = b_picks
+    touch_steps = None if touch_picks is None else (touch_picks + 1) // 2
     return WalkSimResult(ts, counts, touch_steps, touch_picks)
 
 

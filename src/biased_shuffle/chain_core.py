@@ -25,7 +25,6 @@ STREAM_WALK = 1
 STREAM_MARKING = 2
 STREAM_TYPECHAIN = 3
 STREAM_TOUCH = 4
-STREAM_UNIFORMITY = 5
 
 # Card labels, positions and counters are int16 in the batched engines.
 MAX_DECK = int(np.iinfo(np.int16).max)
@@ -38,6 +37,12 @@ def stream_rng(seed: int, *path: int) -> np.random.Generator:
     generators can be re-created anywhere without coordination.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
+
+
+def check_bias(a: float) -> None:
+    """Raise ValueError unless the bias lies in the model's range 0 < a <= 1 (NaN does not)."""
+    if not 0.0 < a <= 1.0:
+        raise ValueError("a must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ class BiasProfile:
         if 2 * self.n > MAX_DECK:
             raise ValueError(f"deck size {2 * self.n} exceeds {MAX_DECK}, the most "
                              "cards the int16 card arrays can label")
-        if not (0.0 < self.a <= 1.0):
-            raise ValueError("a must lie in (0, 1]")
+        check_bias(self.a)
 
     @property
     def b(self) -> float:

@@ -17,10 +17,8 @@ Outputs are plain CSV after the comment lines, or indented JSON for the
 report-style modes.  Reruns with identical parameters produce identical
 bytes.
 
-A JSON config file may supply any subset of a subcommand's options (keys
-use underscores); explicit flags win over config values, config values win
-over built-in defaults, and unknown keys are rejected.  Relative output
-paths resolve against ``BIASED_SHUFFLE_OUTDIR`` when it is set.
+Flags are the only settings.  ``--out`` names the output file; omitted or
+``-``, output goes to stdout.
 
 Exit codes: 0 success, 2 usage error, 3 state space too large, 4 internal
 invariant violated.
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -54,31 +51,19 @@ class InvariantViolation(Exception):
     pass
 
 
-def _list(value, cast) -> list:
-    """A comma-separated string or a config-file list, each item through ``cast``."""
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(part) for part in str(value).split(",") if part.strip()]
+def _list(value: str, cast) -> list:
+    """The items of a comma-separated string, each through ``cast``."""
+    return [cast(part) for part in value.split(",") if part.strip()]
 
 
 def _profile_from(ns) -> "BiasProfile":
-    deck = int(ns.deck)
-    if deck < 2 or deck % 2:
+    if ns.deck < 2 or ns.deck % 2:
         raise UsageError("deck size must be a positive even number")
-    return make_bias_profile(deck // 2, float(ns.a))
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path in (None, "-"):
-        return None
-    outdir = os.environ.get("BIASED_SHUFFLE_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
+    return make_bias_profile(ns.deck // 2, ns.a)
 
 
 def _header_params(ns) -> dict:
-    skip = {"command", "config", "out", "func"}
+    skip = {"command", "out", "func"}
     params = {k: v for k, v in vars(ns).items() if k not in skip}
     params["command"] = ns.command
     params["version"] = __version__
@@ -93,8 +78,8 @@ def _fmt(value) -> str:
 
 def _emit(ns, columns, rows, result: dict | None = None, payload=None) -> None:
     """Write header line, optional result line, then CSV rows or a JSON payload."""
-    target = _resolve_out(ns.out)
-    ctx = open(target, "w", newline="") if target else nullcontext(sys.stdout)
+    to_stdout = ns.out in (None, "-")
+    ctx = nullcontext(sys.stdout) if to_stdout else open(ns.out, "w", newline="")
     with ctx as fh:
         fh.write("# config " + json.dumps(_header_params(ns), sort_keys=True) + "\n")
         if result is not None:
@@ -116,21 +101,16 @@ def parse_header(line: str) -> dict:
     return json.loads(line[len(prefix):])
 
 
-def read_header(path: str) -> dict:
-    with open(path) as fh:
-        return parse_header(fh.readline().rstrip("\n"))
-
-
 # --------------------------------------------------------------------------
 # Subcommand bodies
 # --------------------------------------------------------------------------
 
 def cmd_exact(ns) -> int:
     profile = _profile_from(ns)
-    t_max = int(ns.t_max) if ns.t_max is not None else 2 * theory_time(profile)
+    t_max = ns.t_max if ns.t_max is not None else 2 * theory_time(profile)
     if t_max < 0:
         raise UsageError("t-max must be nonnegative")
-    eps = check_eps(float(ns.eps))
+    eps = check_eps(ns.eps)
     op = build_operator(profile)
     rows = cutoff_profile(op, range(t_max + 1))
     result = {
@@ -144,25 +124,20 @@ def cmd_exact(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     profile = _profile_from(ns)
-    t = int(ns.t)
-    trials = int(ns.trials)
-    res = bounds.simulate_walks(profile, [t], trials, int(ns.seed))
+    res = bounds.simulate_walks(profile, [ns.t], ns.trials, ns.seed)
     counts = res.counts[:, 0]
     rows = [(i, int(c)) for i, c in enumerate(counts)]
     _emit(ns, ("trial", "count"), rows,
-          result={"mean_count": float(counts.mean()), "t": t})
+          result={"mean_count": float(counts.mean()), "t": ns.t})
     return 0
 
 
 def cmd_marking(ns) -> int:
     profile = _profile_from(ns)
-    c1 = float(ns.c1)
-    trials = int(ns.trials)
-    seed = int(ns.seed)
-    checks = int(ns.verify_factorization)
-    if checks < 0:
+    c1, trials, seed = ns.c1, ns.trials, ns.seed
+    if ns.verify_factorization < 0:
         raise UsageError("verify-factorization must be nonnegative")
-    for i in range(checks):
+    for i in range(ns.verify_factorization):
         rng = stream_rng(seed, STREAM_MARKING, 7, i)
         try:
             marking.run_to_full_marking(profile, c1, rng)
@@ -191,8 +166,7 @@ def cmd_marking(ns) -> int:
 
 
 def cmd_typechain(ns) -> int:
-    n = int(ns.n)
-    a = float(ns.a)
+    n, a = ns.n, ns.a
     if ns.mode == "rows":
         rows = []
         for ka in range(n + 1):
@@ -206,8 +180,7 @@ def cmd_typechain(ns) -> int:
                 for ka in range(n + 1) for kb in range(n + 1)]
         _emit(ns, ("k_a", "k_b", "expected_steps"), rows)
     else:
-        c1 = float(ns.c1)
-        scale = type_chain.phase2_time_scale(n, a, c1)
+        scale = type_chain.phase2_time_scale(n, a, ns.c1)
         table = type_chain.absorption_bound_table(n, a)
         rows = [(ka, kb, float(table[ka, kb]), float(scale * table[ka, kb]))
                 for ka in range(n + 1) for kb in range(n + 1)]
@@ -218,15 +191,14 @@ def cmd_typechain(ns) -> int:
 
 def cmd_lowerbound(ns) -> int:
     profile = _profile_from(ns)
-    threshold = int(ns.threshold) if ns.threshold is not None \
+    threshold = ns.threshold if ns.threshold is not None \
         else bounds.suggested_threshold(profile.n)
     if ns.t_list is not None:
         ts = _list(ns.t_list, int)
     else:
         star = theory_time(profile)
         ts = sorted({max(1, round(m * star)) for m in _list(ns.multiples, float)})
-    rows = bounds.lower_bound_sweep(profile, ts, threshold,
-                                    int(ns.trials), int(ns.seed))
+    rows = bounds.lower_bound_sweep(profile, ts, threshold, ns.trials, ns.seed)
     _emit(ns, ("t", "threshold", "estimate", "stderr", "uniform_mass", "bound"),
           rows, result={"theory_time": theory_time(profile)})
     return 0
@@ -236,8 +208,8 @@ def cmd_conjecture(ns) -> int:
     rows = []
     for n in _list(ns.n_list, int):
         for c1 in _list(ns.c1_list, float):
-            probe = type_chain.harmonic_probe(n, c1, float(ns.a))
-            rows.append((n, c1, float(ns.a), probe["weighted_sum"],
+            probe = type_chain.harmonic_probe(n, c1, ns.a)
+            rows.append((n, c1, ns.a, probe["weighted_sum"],
                          probe["harmonic"], probe["ratio"]))
     _emit(ns, ("n", "c1", "a", "weighted_sum", "harmonic", "ratio"), rows)
     return 0
@@ -254,16 +226,12 @@ def build_parser():
                     "transposition shuffle.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     def sub(name, func, help_text):
         p = subs.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--config", default=None,
-                       help="JSON file supplying option defaults")
         p.add_argument("--out", default=None,
                        help="output path ('-' or omitted: stdout)")
-        registry[name] = p
         return p
 
     p = sub("exact", cmd_exact, "exact distance curve for a small deck")
@@ -315,35 +283,12 @@ def build_parser():
     p.add_argument("--c1-list", default="0.75", dest="c1_list")
     p.add_argument("-a", type=float, default=0.5, dest="a")
 
-    return parser, registry
-
-
-def _apply_config(parser, registry, argv):
-    probe = parser.parse_args(argv)
-    if getattr(probe, "config", None) is None:
-        return probe
-    with open(probe.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    command = probe.command
-    if cfg.get("command", command) != command:
-        raise UsageError(
-            f"config is for '{cfg['command']}', not '{command}'")
-    allowed = {action.dest for action in registry[command]._actions}
-    allowed -= {"help", "func"}
-    unknown = sorted(set(cfg) - allowed - {"command"})
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    registry[command].set_defaults(
-        **{k: v for k, v in cfg.items() if k != "command"})
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    ns = build_parser().parse_args(argv)
     try:
-        ns = _apply_config(parser, registry, argv)
         return ns.func(ns)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,9 +107,10 @@ def build_operator(profile: BiasProfile) -> TransitionOperator:
     return TransitionOperator(profile=profile, stay=stay, weights=weights, table=table)
 
 
-def point_mass(op: TransitionOperator, state: int = 0) -> np.ndarray:
+def point_mass(op: TransitionOperator) -> np.ndarray:
+    """The law at t = 0: all mass on the identity, state 0."""
     dist = np.zeros(op.state_count)
-    dist[state] = 1.0
+    dist[0] = 1.0
     return dist
 
 

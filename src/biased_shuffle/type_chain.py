@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain_core import stream_rng, STREAM_TYPECHAIN
+from .chain_core import check_bias, stream_rng, STREAM_TYPECHAIN
 
 
 class TransitionRow(NamedTuple):
@@ -25,7 +25,8 @@ class TransitionRow(NamedTuple):
     p_stay: float
 
 
-def _check_state(n: int, ka: int, kb: int) -> None:
+def _check_state(n: int, a: float, ka: int, kb: int) -> None:
+    check_bias(a)
     if n < 1:
         raise ValueError("n must be positive")
     if not (0 <= ka <= n and 0 <= kb <= n):
@@ -50,7 +51,7 @@ def _jump_law(n, a, ka, kb):
 
 def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
     """Exact move probabilities of the type-count chain at (ka, kb)."""
-    _check_state(n, ka, kb)
+    _check_state(n, a, ka, kb)
     p_b_up, p_a_up, p_move = _jump_law(n, a, ka, kb)
     return TransitionRow(p_b_up=p_b_up, p_a_up=p_a_up, p_move=p_move,
                          p_stay=1.0 - p_b_up - p_a_up - p_move)
@@ -91,7 +92,7 @@ def _backward_sweep(w_b, w_a, w_m) -> np.ndarray:
 
 def expected_absorption(n: int, a: float) -> np.ndarray:
     """Expected steps to reach (n, n) from every grid state, exact."""
-    _check_state(n, 0, 0)
+    _check_state(n, a, 0, 0)
     return _backward_sweep(*_jump_law(n, a, *np.indices((n + 1, n + 1))))
 
 
@@ -104,7 +105,7 @@ def absorption_bound_table(n: int, a: float) -> np.ndarray:
     time inside the k >= 2 n c1 regime.  On the kb = 0 boundary (outside that
     regime) the move term has no target and is dropped.
     """
-    _check_state(n, 0, 0)
+    _check_state(n, a, 0, 0)
     b = 2.0 - a
     ka, kb = np.indices((n + 1, n + 1))
     return _backward_sweep(b * (n - kb), a * (n - ka), (b - 1.0) * (n - ka) * (kb >= 1))
@@ -112,6 +113,7 @@ def absorption_bound_table(n: int, a: float) -> np.ndarray:
 
 def phase2_time_scale(n: int, a: float, c1: float) -> float:
     """Prefactor n / (a (2 c1 - 1)) restoring step units to the bound table."""
+    check_bias(a)
     _check_c1(c1)
     return n / (a * (2.0 * c1 - 1.0))
 
@@ -177,7 +179,7 @@ def simulate_absorption(n: int, a: float, start: tuple[int, int],
     each trajectory needs at most 2n draws.  Deterministic for (seed, trials).
     """
     ka0, kb0 = start
-    _check_state(n, ka0, kb0)
+    _check_state(n, a, ka0, kb0)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = stream_rng(seed, STREAM_TYPECHAIN)

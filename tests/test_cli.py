@@ -1,4 +1,5 @@
-"""Command line front end: smoke runs, headers, configs, exit codes."""
+"""Command line front end: smoke runs, headers, option inventory, exit codes."""
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,12 @@ import time
 import pytest
 
 from biased_shuffle import cli, exact_analysis
-from biased_shuffle.cli import main, parse_header, read_header
+from biased_shuffle.cli import build_parser, main, parse_header
+
+
+def read_header(path):
+    with open(path) as fh:
+        return parse_header(fh.readline().rstrip("\n"))
 
 
 def run_to_file(tmp_path, name, args):
@@ -128,8 +134,10 @@ class TestSmoke:
 
     def test_stdout_mode(self, capsys):
         assert main(["typechain", "--n", "1", "--mode", "rows"]) == 0
-        captured = capsys.readouterr().out
-        assert captured.startswith("# config ")
+        omitted = capsys.readouterr().out
+        assert omitted.startswith("# config ")
+        assert main(["typechain", "--n", "1", "--mode", "rows", "--out", "-"]) == 0
+        assert capsys.readouterr().out == omitted
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -178,49 +186,32 @@ class TestReproducibility:
         assert header == {"command": "exact", "deck": 6, "a": 0.5,
                           "eps": 0.1, "t_max": 4, "version": header["version"]}
 
-    def test_outdir_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIASED_SHUFFLE_OUTDIR", str(tmp_path))
-        assert main(["typechain", "--n", "1", "--out", "rel.csv"]) == 0
-        assert (tmp_path / "rel.csv").exists()
-        target = tmp_path / "abs.csv"
-        assert main(["typechain", "--n", "1", "--out", str(target)]) == 0
-        assert target.exists()
+
+# Every option each subcommand takes, help aside; a new knob must be added here.
+OPTIONS = {
+    None: {"--version"},
+    "exact": {"--out", "--deck", "-a", "--t-max", "--eps"},
+    "simulate": {"--out", "--seed", "--deck", "-a", "--t", "--trials"},
+    "marking": {"--out", "--seed", "--deck", "-a", "--c1", "--trials", "--mode",
+                "--always-mark", "--verify-factorization"},
+    "typechain": {"--out", "--n", "-a", "--c1", "--mode"},
+    "lowerbound": {"--out", "--seed", "--deck", "-a", "--threshold", "--t-list",
+                   "--multiples", "--trials"},
+    "conjecture": {"--out", "--n-list", "--c1-list", "-a"},
+}
 
 
-class TestConfigFile:
-    def write_cfg(self, tmp_path, payload):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        return str(cfg)
+def test_option_inventory():
+    def options(parser):
+        return {flag for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings}
 
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, {"command": "exact", "deck": 6,
-                                        "eps": 0.5})
-        _, out = run_to_file(tmp_path, "c.csv", ["exact", "--config", cfg])
-        header = read_header(str(out))
-        assert header["deck"] == 6 and header["eps"] == 0.5
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, {"command": "exact", "deck": 6})
-        _, out = run_to_file(tmp_path, "c.csv",
-                             ["exact", "--config", cfg, "--deck", "4"])
-        assert read_header(str(out))["deck"] == 4
-
-    def test_wrong_command_rejected(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, {"command": "simulate", "deck": 6})
-        assert main(["exact", "--config", cfg]) == 2
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, {"command": "exact", "bogus": 1})
-        assert main(["exact", "--config", cfg]) == 2
-
-    def test_config_without_command_key(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, {"deck": 6})
-        _, out = run_to_file(tmp_path, "c.csv", ["exact", "--config", cfg])
-        assert read_header(str(out))["deck"] == 6
-
-    def test_missing_config_file(self, tmp_path):
-        assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2
+    parser = build_parser()
+    [subs] = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    found = {name: options(sub) for name, sub in subs.choices.items()}
+    assert {None: options(parser), **found} == OPTIONS
 
 
 def _refuse_all_perms(monkeypatch):
@@ -277,11 +268,18 @@ class TestExitCodes:
         assert main(["marking", "--deck", "32768", "--trials", "1"]) == 2
         assert "32767" in capsys.readouterr().err
 
-    def test_usage_bad_model_parameters(self):
+    def test_usage_bad_model_parameters(self, capsys):
         assert main(["marking", "--deck", "4", "--c1", "0.4",
                      "--trials", "10"]) == 2
         assert main(["exact", "--deck", "4", "-a", "1.5"]) == 2
         assert main(["conjecture", "--n-list", "4", "--c1-list", "0.7"]) == 2
+        capsys.readouterr()
+        for a in ("0", "-1", "1.5", "nan"):
+            for mode in ("rows", "absorption", "bound"):
+                assert main(["typechain", "--n", "2", "-a", a, "--mode", mode]) == 2
+                assert "a must lie in (0, 1]" in capsys.readouterr().err
+            assert main(["conjecture", "--n-list", "4", "-a", a]) == 2
+            assert "a must lie in (0, 1]" in capsys.readouterr().err
 
     def test_invariant_violation_path(self, monkeypatch):
         def broken(*args, **kwargs):
