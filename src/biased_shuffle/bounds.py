@@ -81,6 +81,7 @@ def coupon_expectation(n: int, threshold: int, a: float) -> float:
 
 def coupon_variance_bound(n: int, a: float) -> float:
     """Upper bound on the variance of the touch-time pick count."""
+    check_bias(a)
     return (2 * n / a) ** 2 * (math.pi ** 2 / 6)
 
 
@@ -93,6 +94,7 @@ def sample_touch_picks(n: int, a: float, threshold: int, trials: int,
     """
     if not 0 <= threshold <= n:
         raise ValueError("threshold must lie in [0, n]")
+    check_bias(a)
     rng = stream_rng(seed, STREAM_TOUCH)
     stages = np.arange(threshold + 1, n + 1, dtype=np.float64)
     if stages.size == 0:
@@ -114,7 +116,10 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     """Run walk trials, reading A_t at each checkpoint and touch times.
 
     Checkpoints share trajectories, so estimates across t_values are coupled
-    through common random numbers.
+    through common random numbers.  A step only swaps the two hands'
+    positions; A_t is counted from the positions at each checkpoint, and
+    positions stay frozen after the last one while touch tracking, which
+    reads only the hands, follows the runs whose pick is still open.
     """
     n = profile.n
     deck = profile.deck_size
@@ -137,61 +142,58 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
         step_cap = t_max
 
     labels = np.arange(deck, dtype=np.int16)
-    # a type-A card's own label, -1 for type B, which no position equals
-    a_label = np.where(labels < n, labels, -1).astype(np.int16)
     for start in range(0, trials, DEFAULT_BLOCK_SIZE):
         stop = min(start + DEFAULT_BLOCK_SIZE, trials)
         bsz = stop - start
         stream = HandStream(profile, stream_rng(seed, STREAM_WALK, start // DEFAULT_BLOCK_SIZE))
-        rows = np.arange(bsz)
         pos = np.tile(labels, (bsz, 1))
         flat_pos = pos.reshape(-1)
         # hands arrive interleaved, right then left for each run; entry i
         # belongs to run i // 2 and its partner hand is entry i ^ 1
-        row_base = np.repeat(rows * deck, 2)
+        row_base = np.repeat(np.arange(bsz) * deck, 2)
         partner = np.arange(2 * bsz) ^ 1
-        cnt = np.full(bsz, n, dtype=np.int16)
+        open_rows = np.empty(0, dtype=np.intp)
         if tt is not None:
-            untouched = np.ones((bsz, n), dtype=bool)
+            # column n stands for every type-B card and is never untouched
+            untouched = np.ones((bsz, n + 1), dtype=bool)
+            untouched[:, n] = False
+            flat_untouched = untouched.reshape(-1)
             ucnt = np.full(bsz, n, dtype=np.int32)
             b_picks = touch_picks[start:stop]  # a view: hits land in the result
-            if tt >= n:
+            if tt < n:
+                open_rows = np.arange(bsz)
+            else:
                 b_picks[:] = 0
-        if 0 in col_of:
-            counts[start:stop, col_of[0]] = cnt
         s = 0
         while True:
-            touching = tt is not None and (b_picks < 0).any()
-            if s >= t_max and not touching:
+            if s in col_of:
+                counts[start:stop, col_of[s]] = np.count_nonzero(pos[:, :n] == labels[:n], axis=1)
+            if s >= t_max and not open_rows.size:
                 break
             if s >= step_cap:
                 raise RuntimeError(f"touch tracking still open after {s} steps")
             s += 1
             hands = stream.take(2 * bsz)[1]
-            offsets = row_base + hands
-            held = flat_pos[offsets]
-            swapped = held[partner]
-            flat_pos[offsets] = swapped
-            # each hand's card moves to its partner's position: +1 where a
-            # type-A card lands on its own label, -1 where one leaves it
-            a_card = a_label[hands]
-            fix_change = (swapped == a_card).view(np.int8) - (held == a_card).view(np.int8)
-            cnt += fix_change[0::2] + fix_change[1::2]
-            if touching:
-                right, left = hands[0::2], hands[1::2]
-                is_ar = right < n
-                is_al = left < n
-                for ordinal, hand, is_a in ((1, right, is_ar), (2, left, is_al)):
-                    idx = np.flatnonzero(is_a & untouched[rows, np.minimum(hand, n - 1)])
-                    if idx.size == 0:
-                        continue
-                    untouched[idx, hand[idx]] = False
-                    ucnt[idx] -= 1
-                    hit = idx[(ucnt[idx] <= tt) & (b_picks[idx] < 0)]
-                    if hit.size:
-                        b_picks[hit] = 2 * (s - 1) + ordinal
-            if s in col_of:
-                counts[start:stop, col_of[s]] = cnt
+            if s <= t_max:
+                offsets = row_base + hands
+                flat_pos[offsets] = flat_pos[offsets][partner]
+            if not open_rows.size:
+                continue
+            # the right hand (ordinal 1) touches before the left (ordinal 2)
+            for ordinal in (1, 2):
+                hand = hands[2 * open_rows + ordinal - 1]
+                cells = open_rows * (n + 1) + np.minimum(hand, n)
+                fresh = flat_untouched[cells]
+                idx = open_rows[fresh]
+                if not idx.size:
+                    continue
+                flat_untouched[cells[fresh]] = False
+                ucnt[idx] -= 1
+                # a left-hand touch never overwrites a right-hand hit
+                hit = idx[(ucnt[idx] <= tt) & (b_picks[idx] < 0)]
+                if hit.size:
+                    b_picks[hit] = 2 * (s - 1) + ordinal
+                    open_rows = open_rows[b_picks[open_rows] < 0]
     touch_steps = None if touch_picks is None else (touch_picks + 1) // 2
     return WalkSimResult(ts, counts, touch_steps, touch_picks)
 

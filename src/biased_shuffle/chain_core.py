@@ -127,8 +127,14 @@ def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
     is_b = (u >= half_a).astype(np.intp)
     shift = np.array([0.0, half_a])
     scale = np.array([size / profile.a, size / profile.b])
-    scaled = (u - shift[is_b]) * scale[is_b]
-    return np.minimum(scaled.astype(np.int64), n - 1) + n * is_b
+    scaled = shift[is_b]
+    np.subtract(u, scaled, out=scaled)
+    scaled *= scale[is_b]
+    hands = scaled.astype(np.int64)
+    np.minimum(hands, n - 1, out=hands)
+    is_b *= n
+    hands += is_b
+    return hands
 
 
 # Uniforms a HandStream draws and maps at a time: 256 KiB of doubles plus

@@ -371,13 +371,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
     Each run keeps only what the law reads: ``pos_of`` (the position of
     every card), the marked set, the marked count ``k``, the type-A count
-    ``ka`` and ``low``, the lowest marked label of each type (``deck`` while
-    none is marked).  Marks only add to ``k``, so a run is in phase two
-    exactly while ``k >= threshold``; the type-B count is ``k - ka``; and a
-    run's deck is written once, as the inverse of its ``pos_of`` row, when
-    it finishes.  A pair draw can only hit an assigned card when the right
-    hand holds ``low`` of its type, so :func:`assigned_card` runs on those
-    few rows alone.
+    ``ka`` and, once the run is in phase two, ``low``, the lowest marked
+    label of each type (``deck`` while none is marked).  Marks only add to
+    ``k``, so a run is in phase two exactly while ``k >= threshold``; the
+    type-B count is ``k - ka``; and a run's deck is written once, as the
+    inverse of its ``pos_of`` row, when it finishes.  A pair draw can only
+    hit an assigned card when the right hand holds ``low`` of its type, so
+    :func:`assigned_card` runs on those few rows alone.
     """
     n = profile.n
     deck = profile.deck_size
@@ -488,10 +488,17 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             k[midx] += 1
             is_a = cards < n
             ka[midx] += is_a
-            col = (~is_a).astype(np.intp)
-            low[midx, col] = np.minimum(low[midx, col], cards)
+            if live2:
+                # only phase two reads low; a run entering it takes low below
+                was2 = in2[midx]
+                m2, col = midx[was2], (~is_a[was2]).astype(np.intp)
+                low[m2, col] = np.minimum(low[m2, col], cards[was2])
             k_now = k[midx]
-            out_tp1[orig[midx[k_now == threshold]]] = t
+            enter = midx[k_now == threshold]
+            if enter.size:
+                out_tp1[orig[enter]] = t
+                low[enter] = np.where(marked[enter].reshape(-1, 2, n),
+                                      labels.reshape(2, n), deck).min(axis=2)
             if out_times is not None:
                 out_times[orig[midx], k_now.astype(np.int64)] = t
             if m_rec is not None:

@@ -59,6 +59,7 @@ def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
 
 def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
     """Lower bound a (n - ka) (2 c1 - 1) / n, valid once ka + kb >= 2 n c1."""
+    check_bias(a)
     _check_c1(c1)
     return a * (n - ka) * (2.0 * c1 - 1.0) / n
 
@@ -156,6 +157,7 @@ def harmonic_probe(n: int, c1: float, a: float) -> dict:
 
 def variance_bound(n: int, a: float, c1: float) -> float:
     """Bound (pi^2 / 6) N^2 / (a^4 c1^2) on Var of the phase-two duration."""
+    check_bias(a)
     _check_c1(c1)
     deck = 2 * n
     return (math.pi ** 2 / 6.0) * deck * deck / (a ** 4 * c1 ** 2)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from biased_shuffle import make_bias_profile
+from biased_shuffle.chain_core import STREAM_WALK, stream_rng
 from biased_shuffle.marking import (
     MarkingState,
     mark_threshold,
@@ -149,6 +150,62 @@ def uniform_fixed_mass_enumerated(n: int, threshold: int) -> float:
         if fixed >= threshold:
             hits += 1
     return hits / total
+
+
+def walk_replay(n: int, a: float, t_values, trials: int, seed: int,
+                touch_threshold: int | None, block: int):
+    """Replay walk trials one run and one hand at a time.
+
+    Runs are cut into blocks of ``block``; block j draws ``2 * size``
+    uniforms per step from ``stream_rng(seed, STREAM_WALK, j)``, right then
+    left hand for each run in turn.  A hand maps to a card by the inverse
+    CDF of the hand law, written out in scalar float arithmetic, and the
+    two cards swap positions in a plain list.  Returns A_t at each sorted
+    checkpoint per run, and the pick index and step of the touch that
+    leaves at most ``touch_threshold`` type-A cards untouched (``None``
+    each without touch tracking).
+    """
+    deck, b = 2 * n, 2.0 - a
+    half_a = 0.5 * a
+
+    def card(u: float) -> int:
+        if u < half_a:
+            return min(int((u - 0.0) * (deck / a)), n - 1)
+        return n + min(int((u - half_a) * (deck / b)), n - 1)
+
+    ts = sorted(set(t_values))
+    t_max = ts[-1] if ts else 0
+    tt = touch_threshold
+    counts, picks, steps = [], [], []
+    for j, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        rng = stream_rng(seed, STREAM_WALK, j)
+        pos = [list(range(deck)) for _ in range(size)]
+        untouched = [set(range(n)) for _ in range(size)]
+        found = [(0, 0) if tt is not None and tt >= n else None for _ in range(size)]
+        rows = [[] for _ in range(size)]
+        s = 0
+        while True:
+            if s in ts:
+                for i in range(size):
+                    rows[i].append(sum(pos[i][c] == c for c in range(n)))
+            if s >= t_max and (tt is None or None not in found):
+                break
+            s += 1
+            u = rng.random(2 * size).tolist()
+            for i in range(size):
+                right, left = card(u[2 * i]), card(u[2 * i + 1])
+                pos[i][right], pos[i][left] = pos[i][left], pos[i][right]
+                for ordinal, hand in ((1, right), (2, left)):
+                    untouched[i].discard(hand)
+                    if tt is not None and found[i] is None and len(untouched[i]) <= tt:
+                        found[i] = (2 * (s - 1) + ordinal, s)
+        counts += rows
+        picks += [f[0] for f in found] if tt is not None else []
+        steps += [f[1] for f in found] if tt is not None else []
+    if tt is None:
+        return counts, None, None
+    return counts, picks, steps
 
 
 def fixed_a_counts(deck: int) -> np.ndarray:

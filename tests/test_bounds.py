@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import evolve
-from _reference import derangement_count, state_mass_at_least, uniform_fixed_mass_enumerated
+from _reference import (
+    derangement_count,
+    state_mass_at_least,
+    uniform_fixed_mass_enumerated,
+    walk_replay,
+)
+from biased_shuffle import bounds, type_chain
 from biased_shuffle import exact_analysis as ea
 from biased_shuffle.bounds import (
     coupon_expectation,
@@ -115,6 +121,13 @@ class TestCoupon:
         assert (result.touch_picks >= 1).all()
         assert (result.touch_steps == np.ceil(result.touch_picks / 2)).all()
 
+    def test_touch_cap_raises(self, monkeypatch):
+        # with no slack the cap is 100 steps, far below the ~520 that
+        # deck 64 at a = 0.25 needs to touch every type-A card
+        monkeypatch.setattr(bounds, "coupon_expectation", lambda *args: 0.0)
+        with pytest.raises(RuntimeError, match="touch tracking still open after 100 steps"):
+            simulate_walks(make_bias_profile(32, 0.25), [1], 50, seed=3, touch_threshold=0)
+
     def test_trivial_threshold_touches_immediately(self):
         result = simulate_walks(make_bias_profile(3, 1.0), [2], 500, seed=14,
                                 touch_threshold=3)
@@ -132,6 +145,26 @@ class TestWalker:
         assert (one.counts[:, 1] == other.counts[:, 0]).all()
         assert (simulate_walks(profile, [5], 5_000, seed=10).counts
                 != one.counts[:, 1:2]).any()
+
+    # 13 trials in blocks of 5: two full blocks and a partial one
+    @pytest.mark.parametrize("n, a, t_values, touch_threshold", [
+        (6, 0.5, [0, 5, 25, 150], 0),  # checkpoints before, between and after touches
+        (5, 1.0, [2, 9], 1),
+        (4, 0.25, [0, 7], 4),         # threshold n: touched at pick 0
+        (6, 0.77, [0, 1, 30], None),  # no touch tracking
+        (3, 0.5, [], 2),              # touch tracking alone
+    ])
+    def test_matches_plain_replay(self, monkeypatch, n, a, t_values, touch_threshold):
+        monkeypatch.setattr(bounds, "DEFAULT_BLOCK_SIZE", 5)
+        res = simulate_walks(make_bias_profile(n, a), t_values, 13, seed=21,
+                             touch_threshold=touch_threshold)
+        counts, picks, steps = walk_replay(n, a, t_values, 13, 21, touch_threshold, block=5)
+        assert res.counts.tolist() == counts
+        if touch_threshold is None:
+            assert res.touch_picks is None and res.touch_steps is None
+        else:
+            assert res.touch_picks.tolist() == picks
+            assert res.touch_steps.tolist() == steps
 
     def test_t_zero_counts_are_full(self):
         result = simulate_walks(make_bias_profile(4, 0.5), [0, 1], 300, seed=2)
@@ -161,6 +194,18 @@ class TestWalker:
         [est] = lower_bound_sweep(profile, [t_eq], 2, 30_000, seed=6)
         um = uniform_fixed_mass(8, 2)
         assert abs(est.estimate - um) < 4 * max(est.stderr, 1e-4)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1.5, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda a: coupon_variance_bound(4, a),
+    lambda a: sample_touch_picks(4, a, 1, 3, 0),
+    lambda a: type_chain.variance_bound(4, a, 0.75),
+    lambda a: type_chain.rate_mark_a_floor(4, a, 0.75, 1),
+], ids=["coupon_variance_bound", "sample_touch_picks", "variance_bound", "rate_mark_a_floor"])
+def test_bias_outside_range_is_rejected(call, a):
+    with pytest.raises(ValueError, match=r"^a must lie in \(0, 1\]$"):
+        call(a)
 
 
 class TestLowerBound:

@@ -97,6 +97,35 @@ class TestSampling:
         hands = hands_from_uniforms(p, np.array([0.0, 0.5 - 1e-16, 0.9999999, 1.0 - 1e-16]))
         assert hands.min() >= 0 and hands.max() <= 3
 
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.77, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 512])
+    def test_matches_one_line_formula(self, n, a):
+        # the map as one expression: shift, scale, cast, clip, offset type B
+        def one_line(p, u):
+            half_a = 0.5 * p.a
+            is_b = (u >= half_a).astype(np.intp)
+            shift = np.array([0.0, half_a])
+            scale = np.array([p.deck_size / p.a, p.deck_size / p.b])
+            return (np.minimum(((u - shift[is_b]) * scale[is_b]).astype(np.int64), p.n - 1)
+                    + p.n * is_b)
+
+        p = make_bias_profile(n, a)
+        half_a = 0.5 * a
+        edges = np.array([0.0, half_a, np.nextafter(half_a, 0.0), np.nextafter(half_a, 1.0),
+                          np.nextafter(1.0, 0.0)])
+        rng = stream_rng(n, 70)
+        for u in (edges, rng.random(5000), rng.random((300, 2))):
+            hands = hands_from_uniforms(p, u)
+            assert hands.dtype == np.int64 and hands.shape == u.shape
+            assert hands.tolist() == one_line(p, u).tolist()
+
+    def test_clip_keeps_block_edges_in_block(self):
+        # at n = 5, a = 0.05 the last double below each block's upper edge
+        # scales to exactly n and must be clipped back to the block's top card
+        p = make_bias_profile(5, 0.05)
+        u = np.array([np.nextafter(0.025, 0.0), np.nextafter(1.0, 0.0)])
+        assert hands_from_uniforms(p, u).tolist() == [4, 9]
+
     def test_pair_probability_example(self):
         p = make_bias_profile(2, 0.5)
         # one type-A hand (1/8) and one type-B hand (3/8)
