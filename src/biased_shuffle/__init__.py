@@ -2,9 +2,9 @@
 
 A deck of 2n cards is shuffled by repeatedly picking two cards with a
 type-dependent bias and swapping them.  The package provides exact
-small-deck distance computations, a strong-uniform-time marking scheme with
-its permutation factorization, the absorbing type-count chain that governs
-the marking tail, and coupon-collector lower-bound tooling, all behind a
+small-deck distance computations, a batched engine for the two-phase
+strong-uniform-time marking scheme, the absorbing type-count chain that
+governs the marking tail, and coupon-collector lower-bound tooling, all behind a
 reproducible command line.
 """
 
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .chain_core import (
     BiasProfile,
-    DeckState,
     DEFAULT_SEED,
     hands_from_uniforms,
     make_bias_profile,
@@ -30,13 +29,10 @@ from .exact_analysis import (
     tv_distance,
 )
 from .marking import (
-    MarkingState,
     bulk_marking_runs,
     expected_full_marking_time,
     expected_phase1_time,
-    factorization_check,
     mark_threshold,
-    run_to_full_marking,
     uniformity_test,
 )
 from .type_chain import (
@@ -51,7 +47,6 @@ from .type_chain import (
 from .bounds import (
     coupon_expectation,
     lower_bound_sweep,
-    sample_touch_picks,
     simulate_walks,
     uniform_fixed_mass,
     uniform_fixed_pmf,

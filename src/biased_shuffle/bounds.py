@@ -25,7 +25,6 @@ import numpy as np
 
 from .chain_core import (
     BiasProfile,
-    STREAM_TOUCH,
     STREAM_WALK,
     HandStream,
     check_bias,
@@ -77,31 +76,6 @@ def coupon_expectation(n: int, threshold: int, a: float) -> float:
     check_bias(a)
     harm = sum(1.0 / j for j in range(threshold + 1, n + 1))
     return (2 * n / a) * harm
-
-
-def coupon_variance_bound(n: int, a: float) -> float:
-    """Upper bound on the variance of the touch-time pick count."""
-    check_bias(a)
-    return (2 * n / a) ** 2 * (math.pi ** 2 / 6)
-
-
-def sample_touch_picks(n: int, a: float, threshold: int, trials: int,
-                       seed: int) -> np.ndarray:
-    """Sample the pick index at which untouched type-A cards first reach threshold.
-
-    Uses the exact law directly: the wait between untouched counts j and
-    j - 1 is geometric with success probability j a / (2n), independently.
-    """
-    if not 0 <= threshold <= n:
-        raise ValueError("threshold must lie in [0, n]")
-    check_bias(a)
-    rng = stream_rng(seed, STREAM_TOUCH)
-    stages = np.arange(threshold + 1, n + 1, dtype=np.float64)
-    if stages.size == 0:
-        return np.zeros(trials, dtype=np.int64)
-    p = stages * a / (2 * n)
-    waits = rng.geometric(p[None, :], size=(trials, stages.size))
-    return waits.sum(axis=1, dtype=np.int64)
 
 
 class WalkSimResult(NamedTuple):

@@ -74,9 +74,6 @@ class BiasProfile:
             raise ValueError(f"card label {card} out of range 0..{self.deck_size - 1}")
         return self.a if card < self.n else self.b
 
-    def hand_probability(self, card: int) -> float:
-        return self.weight(card) / self.deck_size
-
     def weights(self) -> np.ndarray:
         """Vector of hand weights indexed by card label."""
         w = np.full(self.deck_size, self.b)
@@ -87,31 +84,6 @@ class BiasProfile:
 def make_bias_profile(n: int, a: float) -> BiasProfile:
     """Validated constructor for :class:`BiasProfile`."""
     return BiasProfile(n=int(n), a=float(a))
-
-
-class DeckState:
-    """Mutable permutation state.
-
-    ``card_at[pos]`` is the card at a position, ``pos_of[card]`` its inverse.
-    Both are plain lists; the walk only ever swaps two entries at a time.
-    """
-
-    __slots__ = ("n", "card_at", "pos_of")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.card_at = list(range(2 * n))
-        self.pos_of = list(range(2 * n))
-
-    @property
-    def deck_size(self) -> int:
-        return 2 * self.n
-
-    def swap_cards(self, c1: int, c2: int) -> None:
-        """Exchange the positions of two cards (no-op when c1 == c2)."""
-        p1, p2 = self.pos_of[c1], self.pos_of[c2]
-        self.pos_of[c1], self.pos_of[c2] = p2, p1
-        self.card_at[p1], self.card_at[p2] = c2, c1
 
 
 def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:

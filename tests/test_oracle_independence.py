@@ -16,6 +16,11 @@ FAST_PATHS = frozenset({
     "absorption_bound_table",
     "simulate_absorption",
     "simulate_walks",
+    "MarkingState",
+    "phase1_step",
+    "phase2_step",
+    "factorization_check",
+    "run_to_full_marking",
 })
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import rate_mark_a_floor
 from biased_shuffle.type_chain import (
     TransitionRow,
     absorption_bound_table,
@@ -15,7 +16,6 @@ from biased_shuffle.type_chain import (
     harmonic_probe,
     phase2_time_scale,
     phase2_upper_bound,
-    rate_mark_a_floor,
     simulate_absorption,
     transition_row,
     variance_bound,
