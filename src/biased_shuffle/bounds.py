@@ -183,7 +183,14 @@ class LowerBoundRow(NamedTuple):
 
 def lower_bound_sweep(profile: BiasProfile, t_values, threshold: int,
                       trials: int, seed: int) -> list[LowerBoundRow]:
-    """TV lower bounds |P(A_t >= K) - uniform mass| over coupled checkpoints."""
+    """TV lower bounds |P(A_t >= K) - uniform mass| over coupled checkpoints.
+
+    K = ``threshold`` must lie in 1..n: below, the event holds on every deck,
+    above, on none, and either way the bound is 0.
+    """
+    if not 1 <= threshold <= profile.n:
+        raise ValueError(f"threshold must lie in 1..{profile.n}, the number of "
+                         f"type-A cards")
     result = simulate_walks(profile, t_values, trials, seed)
     um = uniform_fixed_mass(profile.n, threshold)
     rows = []

@@ -180,7 +180,7 @@ def cmd_typechain(ns) -> int:
 def cmd_lowerbound(ns) -> int:
     profile = _profile_from(ns)
     threshold = ns.threshold if ns.threshold is not None \
-        else bounds.suggested_threshold(profile.n)
+        else min(profile.n, bounds.suggested_threshold(profile.n))
     if ns.t_list is not None:
         ts = _list(ns.t_list, int)
     else:

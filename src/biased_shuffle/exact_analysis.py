@@ -1,28 +1,36 @@
 """Exact distribution analysis of the walk for small decks.
 
-States are the N! permutations of the deck, indexed by their lexicographic
-(Lehmer) rank.  The one-step operator is kept matrix free: a precomputed
-neighbour table holds, for each of the N(N-1)/2 transpositions, one contiguous
-row mapping every state to its image, and applying the operator is a weighted
-sum of pure gathers (each transposition row is an involution on states, so
-gather equals scatter).
+The deck is a permutation sigma = pos_of, card -> position, and a step on
+cards (x, y) moves to sigma o (x y).  Its weight 2 p_x p_y depends only on
+the two cards' types, so conjugating by a relabelling that keeps types
+commutes with the walk, and the law from the identity is constant on the
+orbits of that conjugation.  An orbit is the multiset of the cycles of
+sigma, each written as the cyclic word of its cards' types (``a`` for type
+A, ``b`` for type B).  The walk is lumpable on orbits (Kemeny and Snell;
+compare random transpositions on cycle types, Diaconis and Shahshahani
+1981): a move on two cards of one cycle splits its word in two, a move on
+cards of two cycles merges their words, and the orbit's transition masses
+do not depend on which member of the orbit the walk is at.
 
-Total variation and separation distance are computed against the uniform
-distribution.
+States are the orbits reachable from the identity, which are all of them,
+in the order :func:`list_orbits` finds them; state 0 is the identity.  The
+one-step operator is a flat list of (source, destination, mass) entries.
+Total variation and separation distance read orbit masses against the
+orbit sizes, the number of permutations in each orbit.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain_core import BiasProfile
 
-# Largest exact_bytes estimate that build_operator accepts: deck 10 needs
-# about 1.3 GB, deck 12 about 220 GB.
-EXACT_BYTE_BUDGET = 2 * 1024**3
+# Most orbits build_operator lists: deck 18 has 136,936, deck 20 530,404.
+ORBIT_BUDGET = 150_000
 
 MAX_SCAN_STEPS = 10**7
 
@@ -41,70 +49,200 @@ def encode_many(perms: np.ndarray) -> np.ndarray:
     return rank
 
 
-def all_perms(deck: int) -> np.ndarray:
-    """All permutations of 0..deck-1 in rank order, one per row."""
-    return np.array(list(itertools.permutations(range(deck))), dtype=np.int8)
+def _necklaces(ka: int, kb: int) -> int:
+    """Cyclic words up to rotation with ka letters a and kb letters b."""
+    length = ka + kb
+    total = sum(_totient(d) * math.comb(length // d, ka // d)
+                for d in range(1, math.gcd(ka, kb) + 1) if ka % d == 0 == kb % d)
+    return total // length
+
+
+def _totient(m: int) -> int:
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def orbit_count(n: int) -> int:
+    """Number of orbits of a deck of n type-A and n type-B cards.
+
+    The coefficient of x^n y^n in prod over (i, j) of (1 - x^i y^j)^-N(i, j),
+    N(i, j) the necklaces with i letters a and j letters b: one factor per
+    cycle word, any number of cycles of each.
+    """
+    coef = [[0] * (n + 1) for _ in range(n + 1)]
+    coef[0][0] = 1
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j == 0:
+                continue
+            kinds = _necklaces(i, j)
+            # multiply by sum_k C(kinds + k - 1, k) x^(ik) y^(jk)
+            reps = n // max(i, j)
+            series = [math.comb(kinds + k - 1, k) for k in range(reps + 1)]
+            coef = [[sum(series[k] * coef[p - k * i][q - k * j]
+                         for k in range(reps + 1) if k * i <= p and k * j <= q)
+                     for q in range(n + 1)] for p in range(n + 1)]
+    return coef[n][n]
+
+
+def check_capacity(deck: int) -> None:
+    """Raise CapacityError if the deck has more orbits than ORBIT_BUDGET.
+
+    Adding one fixed card of each type maps orbits injectively, so the count
+    grows with the deck and the first half-deck over the budget settles it.
+    """
+    for n in range(1, deck // 2 + 1):
+        count = orbit_count(n)
+        if count > ORBIT_BUDGET:
+            raise CapacityError(
+                f"exact mode for a deck of {deck} cards needs at least {count:,} "
+                f"orbits, over the budget of {ORBIT_BUDGET:,}")
+
+
+def _canon(word: str) -> str:
+    """The least rotation of a cyclic word."""
+    twice = word + word
+    return min(twice[i:i + len(word)] for i in range(len(word)))
+
+
+def _period(word: str) -> int:
+    """Smallest shift that maps a cyclic word onto itself."""
+    return next(s for s in range(1, len(word) + 1)
+                if len(word) % s == 0 and word[s:] + word[:s] == word)
+
+
+def _splits(word: str) -> dict:
+    """Moves on two cards of one cycle: (word1, word2) -> pair counts by class.
+
+    Cards s < t of the cycle leave the arcs s+1..t and t+1..s.  A pair's
+    class is how many of its two cards are type B: 0, 1 or 2.
+    """
+    out = {}
+    for s, t in itertools.combinations(range(len(word)), 2):
+        parts = sorted((_canon(word[s + 1:t + 1]), _canon(word[t + 1:] + word[:s + 1])))
+        counts = out.setdefault(tuple(parts), [0, 0, 0])
+        counts[(word[s] == "b") + (word[t] == "b")] += 1
+    return out
+
+
+def _merges(first: str, second: str) -> dict:
+    """Moves on one card of each of two cycles: (merged word,) -> pair counts by class.
+
+    Cards s and u leave one cycle: first from s+1 round to s, then second
+    from u+1 round to u.
+    """
+    out = {}
+    for s, u in itertools.product(range(len(first)), range(len(second))):
+        merged = first[s + 1:] + first[:s + 1] + second[u + 1:] + second[:u + 1]
+        counts = out.setdefault((_canon(merged),), [0, 0, 0])
+        counts[(first[s] == "b") + (second[u] == "b")] += 1
+    return out
+
+
+def _without(orbit: tuple, word: str) -> tuple:
+    i = orbit.index(word)
+    return orbit[:i] + orbit[i + 1:]
+
+
+def _moves(orbit: tuple, table) -> dict:
+    """Orbits one move away from ``orbit``: target -> pair counts by class.
+
+    One word splits (``table(word)``) or two merge (``table(word, other)``);
+    each table's counts are multiplied by the number of cycles, or pairs of
+    cycles, that carry those words.
+    """
+    counts = Counter(orbit)
+    words = sorted(counts)
+    out = {}
+    for k, word in enumerate(words):
+        rest = _without(orbit, word)
+        choices = [(rest, table(word), counts[word])] if len(word) > 1 else []
+        for other in words[k:]:
+            cycles = math.comb(counts[word], 2) if other == word \
+                else counts[word] * counts[other]
+            if cycles:
+                choices.append((_without(rest, other), table(word, other), cycles))
+        for left, entries, cycles in choices:
+            for new_words, pairs in entries.items():
+                acc = out.setdefault(tuple(sorted(left + new_words)), [0, 0, 0])
+                for c in range(3):
+                    acc[c] += cycles * pairs[c]
+    return out
+
+
+def list_orbits(profile: BiasProfile) -> tuple[list, np.ndarray, np.ndarray]:
+    """Orbits reachable from the identity and the transitions between them.
+
+    Returns the orbits (sorted tuples of least-rotation words), a (2, E)
+    int32 array of source and destination orbit indices, sources ascending,
+    and the (E,) transition masses: one entry per ordered pair of distinct
+    orbits that a move connects.  Split and merge tables are cached per
+    word and per pair of words.
+    """
+    from array import array  # a compiled module, loaded only by exact runs
+    hand_a, hand_b = profile.a / profile.deck_size, profile.b / profile.deck_size
+    by_class = (2 * hand_a * hand_a, 2 * hand_a * hand_b, 2 * hand_b * hand_b)
+    tables = {}
+
+    def table(*words):
+        if words not in tables:
+            tables[words] = _splits(*words) if len(words) == 1 else _merges(*words)
+        return tables[words]
+
+    start = ("a",) * profile.n + ("b",) * profile.n
+    index = {start: 0}
+    orbits = [start]
+    src, dst, mass = array("i"), array("i"), array("d")
+    for here, orbit in enumerate(orbits):
+        for target, pairs in _moves(orbit, table).items():
+            there = index.setdefault(target, len(orbits))
+            if there == len(orbits):
+                orbits.append(target)
+            src.append(here)
+            dst.append(there)
+            mass.append(sum(p * w for p, w in zip(pairs, by_class)))
+    ends = np.stack([np.frombuffer(src, dtype=np.int32), np.frombuffer(dst, dtype=np.int32)])
+    return orbits, ends, np.frombuffer(mass)
+
+
+def _orbit_size(orbit, n: int) -> int:
+    """Permutations in an orbit: (n!)^2 over the order of the stabiliser."""
+    stabiliser = 1
+    for word, m in Counter(orbit).items():
+        stabiliser *= math.factorial(m) * (len(word) // _period(word)) ** m
+    return math.factorial(n) ** 2 // stabiliser
 
 
 @dataclass
 class TransitionOperator:
-    """Matrix-free one-step operator of the walk on S_N."""
+    """One-step operator of the walk lumped on orbits."""
 
     profile: BiasProfile
     stay: float                 # mass on the identity move
-    weights: np.ndarray         # (T,) unordered transposition masses 2 p_i p_j
-    table: np.ndarray           # (T, N!) image state under each transposition
+    weights: np.ndarray         # (E,) mass of each transition
+    table: np.ndarray           # (2, E) source and destination orbit of each transition
+    sizes: np.ndarray           # (states,) permutations in each orbit, summing to N!
     # rows distance_scan has reached so far, and the distribution at the last
     scanned: list = field(default_factory=list, init=False, repr=False)
     scan_head: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def state_count(self) -> int:
-        return self.table.shape[1]
+        return self.sizes.size
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
-        out = self.stay * dist
-        term = np.empty_like(dist)
-        # every image is a state, so "clip" never acts; it spares the copy
-        # of ``out`` that take makes under the default mode="raise"
-        for image, w in zip(self.table, self.weights):
-            np.take(dist, image, out=term, mode="clip")
-            term *= w
-            out += term
-        return out
-
-
-def exact_bytes(deck: int) -> int:
-    """Estimated peak bytes of :func:`build_operator` for a deck.
-
-    Per state: the listed permutation as a Python tuple plus its int8 row,
-    its int32 entry in every neighbour table row and a few float64
-    distribution entries.
-    """
-    pairs = deck * (deck - 1) // 2
-    return math.factorial(deck) * (56 + 9 * deck + 4 * pairs + 8 * 4)
+        flow = dist[self.table[0]]
+        flow *= self.weights
+        return self.stay * dist + np.bincount(self.table[1], weights=flow, minlength=dist.size)
 
 
 def build_operator(profile: BiasProfile) -> TransitionOperator:
-    """Materialise the neighbour table for the deck in ``profile``."""
-    deck = profile.deck_size
-    need = exact_bytes(deck)
-    if need > EXACT_BYTE_BUDGET:
-        raise CapacityError(
-            f"exact mode for a deck of {deck} cards needs about {need / 1e9:.3g} GB, "
-            f"over the {EXACT_BYTE_BUDGET / 1e9:.3g} GB budget")
-    perms = all_perms(deck)
-    hand = profile.weights() / deck
-    pairs = [(i, j) for i in range(deck) for j in range(i + 1, deck)]
-    table = np.empty((len(pairs), perms.shape[0]), dtype=np.int32)
-    weights = np.empty(len(pairs))
-    for col, (i, j) in enumerate(pairs):
-        relabel = np.arange(deck, dtype=np.int8)
-        relabel[i], relabel[j] = j, i
-        table[col] = encode_many(relabel[perms])
-        weights[col] = 2.0 * hand[i] * hand[j]
-    stay = float(np.sum(hand * hand))
-    return TransitionOperator(profile=profile, stay=stay, weights=weights, table=table)
+    """List the orbits of the deck in ``profile`` and their transitions."""
+    check_capacity(profile.deck_size)
+    orbits, table, weights = list_orbits(profile)
+    sizes = np.array([_orbit_size(orbit, profile.n) for orbit in orbits], dtype=np.int64)
+    stay = float(np.sum((profile.weights() / profile.deck_size) ** 2))
+    return TransitionOperator(profile=profile, stay=stay, weights=weights, table=table,
+                              sizes=sizes)
 
 
 def point_mass(op: TransitionOperator) -> np.ndarray:
@@ -114,14 +252,14 @@ def point_mass(op: TransitionOperator) -> np.ndarray:
     return dist
 
 
-def tv_distance(dist: np.ndarray) -> float:
-    """Total variation distance to the uniform distribution."""
-    return 0.5 * float(np.abs(dist - 1.0 / dist.size).sum())
+def tv_distance(dist: np.ndarray, sizes: np.ndarray) -> float:
+    """Total variation distance to uniform; state i holds sizes[i] permutations."""
+    return 0.5 * float(np.abs(dist - sizes / sizes.sum()).sum())
 
 
-def separation_distance(dist: np.ndarray) -> float:
-    """max over states of 1 - N! * mass, clamped to [0, 1]."""
-    sep = 1.0 - dist.size * float(dist.min())
+def separation_distance(dist: np.ndarray, sizes: np.ndarray) -> float:
+    """max over permutations of 1 - N! * mass, clamped to [0, 1]; as :func:`tv_distance`."""
+    sep = 1.0 - int(sizes.sum()) * float((dist / sizes).min())
     return min(1.0, max(0.0, sep))
 
 
@@ -141,8 +279,8 @@ def distance_scan(op: TransitionOperator):
             if t > MAX_SCAN_STEPS:
                 raise RuntimeError(f"distance scan exceeded {MAX_SCAN_STEPS} steps")
             op.scan_head = point_mass(op) if t == 0 else op.apply(op.scan_head)
-            op.scanned.append(
-                (t, tv_distance(op.scan_head), separation_distance(op.scan_head)))
+            op.scanned.append((t, tv_distance(op.scan_head, op.sizes),
+                               separation_distance(op.scan_head, op.sizes)))
         yield op.scanned[t]
         t += 1
 

@@ -391,15 +391,23 @@ def gap_correlation_report(profile: BiasProfile, c1: float, trials: int,
     """Empirical pairwise correlations of phase-two marking gaps.
 
     Reported only; no sign claim is asserted anywhere.  Needs at least two
-    gaps, deck - ceil(c1 * deck) >= 2, so that some pair is correlated.
+    gaps, deck - ceil(c1 * deck) >= 2, so that some pair is correlated, and
+    at least two trials in which every gap varies, so that each correlation
+    is defined.
     """
     deck = profile.deck_size
     threshold = mark_threshold(deck, c1)
     if deck - threshold < 2:
         raise ValueError(f"gap correlations need at least two phase-two gaps, "
                          f"but deck - ceil(c1 * deck) = {deck - threshold}")
+    if trials < 2:
+        raise ValueError("gap correlations need at least two trials")
     result = bulk_marking_runs(profile, c1, trials, seed, record_mark_times=True)
     gaps = np.diff(result.mark_times[:, threshold:], axis=1).astype(float)
+    constant = np.flatnonzero((gaps == gaps[0]).all(axis=0))
+    if constant.size:
+        raise ValueError(f"phase-two gap {int(constant[0]) + 1} takes one value in all "
+                         f"{trials} trials, so its correlations are undefined")
     corr = np.corrcoef(gaps, rowvar=False)
     off = corr[np.triu_indices_from(corr, k=1)]
     return {

@@ -14,14 +14,17 @@ step through ``hands_from_uniforms``.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from _reference import hand_probability, probability
 from biased_shuffle import make_bias_profile
 from biased_shuffle.chain_core import BiasProfile, hands_from_uniforms
+from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
     assigned_card,
     default_step_cap,
@@ -41,6 +44,82 @@ def evolve(op, dist: np.ndarray, t: int) -> np.ndarray:
     for _ in range(t):
         out = op.apply(out)
     return out
+
+
+# Largest exact_bytes estimate that lehmer_operator accepts: deck 10 needs
+# about 1.3 GB, deck 12 about 220 GB.
+EXACT_BYTE_BUDGET = 2 * 1024**3
+
+
+def all_perms(deck: int) -> np.ndarray:
+    """All permutations of 0..deck-1 in rank order, one per row."""
+    return np.array(list(itertools.permutations(range(deck))), dtype=np.int8)
+
+
+def exact_bytes(deck: int) -> int:
+    """Estimated peak bytes of :func:`lehmer_operator` for a deck.
+
+    Per state: the listed permutation as a Python tuple plus its int8 row,
+    its int32 entry in every neighbour table row and a few float64
+    distribution entries.
+    """
+    pairs = deck * (deck - 1) // 2
+    return math.factorial(deck) * (56 + 9 * deck + 4 * pairs + 8 * 4)
+
+
+@dataclass
+class LehmerOperator:
+    """Matrix-free one-step operator of the walk on S_N, states in Lehmer rank order.
+
+    It has the orbit operator's attributes, each state holding one
+    permutation, so ``distance_scan``, ``mixing_time`` and ``cutoff_profile``
+    read it as they read the orbit operator.
+    """
+
+    profile: BiasProfile
+    stay: float                 # mass on the identity move
+    weights: np.ndarray         # (T,) unordered transposition masses 2 p_i p_j
+    table: np.ndarray           # (T, N!) image state under each transposition
+    sizes: np.ndarray           # (N!,) ones
+    scanned: list = field(default_factory=list, init=False, repr=False)
+    scan_head: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def state_count(self) -> int:
+        return self.table.shape[1]
+
+    def apply(self, dist: np.ndarray) -> np.ndarray:
+        out = self.stay * dist
+        term = np.empty_like(dist)
+        # every transposition row is an involution on states, so gather
+        # equals scatter; every image is a state, so "clip" never acts
+        for image, w in zip(self.table, self.weights):
+            np.take(dist, image, out=term, mode="clip")
+            term *= w
+            out += term
+        return out
+
+
+def lehmer_operator(profile: BiasProfile) -> LehmerOperator:
+    """The neighbour table on all permutations of the deck in ``profile``."""
+    deck = profile.deck_size
+    need = exact_bytes(deck)
+    if need > EXACT_BYTE_BUDGET:
+        raise ValueError(f"the Lehmer operator for a deck of {deck} cards needs about "
+                         f"{need / 1e9:.3g} GB, over the byte budget")
+    perms = all_perms(deck)
+    hand = profile.weights() / deck
+    pairs = list(itertools.combinations(range(deck), 2))
+    table = np.empty((len(pairs), perms.shape[0]), dtype=np.int32)
+    weights = np.empty(len(pairs))
+    for col, (i, j) in enumerate(pairs):
+        relabel = np.arange(deck, dtype=np.int8)
+        relabel[i], relabel[j] = j, i
+        table[col] = encode_many(relabel[perms])
+        weights[col] = 2.0 * hand[i] * hand[j]
+    stay = float(np.sum(hand * hand))
+    return LehmerOperator(profile=profile, stay=stay, weights=weights, table=table,
+                          sizes=np.ones(perms.shape[0], dtype=np.int64))
 
 
 class DeckState:

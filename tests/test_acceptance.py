@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import record_criterion
-from _helpers import evolve
+from _helpers import evolve, lehmer_operator
 from _reference import (
     dense_transition_matrix,
     derangement_count,
@@ -31,14 +31,14 @@ SEED = 1729
 
 def test_criterion_1_exact_one_step_distances():
     start = time.perf_counter()
-    op = ea.build_operator(make_bias_profile(2, 1.0))
+    op = lehmer_operator(make_bias_profile(2, 1.0))
     dist = evolve(op, ea.point_mass(op), 1)
     swaps = dist[1:][dist[1:] > 0]
     ok = (abs(dist[0] - 0.25) < 1e-12
           and swaps.size == 6
           and np.abs(swaps - 0.125).max() < 1e-12
-          and abs(ea.tv_distance(dist) - 17 / 24) < 1e-12
-          and abs(ea.separation_distance(dist) - 1.0) < 1e-12)
+          and abs(ea.tv_distance(dist, op.sizes) - 17 / 24) < 1e-12
+          and abs(ea.separation_distance(dist, op.sizes) - 1.0) < 1e-12)
     elapsed = time.perf_counter() - start
     record_criterion(
         "1", ok and elapsed < 1.0,
@@ -51,15 +51,15 @@ def test_criterion_2_stationarity_and_flow_symmetry():
     for deck in (2, 4, 6):
         for a in (0.25, 0.5, 1.0):
             profile = make_bias_profile(deck // 2, a)
-            op = ea.build_operator(profile)
-            u = np.full(op.state_count, 1.0 / op.state_count)
-            worst_fp = max(worst_fp, float(np.abs(op.apply(u) - u).max()))
+            for op in (lehmer_operator(profile), ea.build_operator(profile)):
+                u = op.sizes / math.factorial(deck)
+                worst_fp = max(worst_fp, float(np.abs(op.apply(u) - u).max()))
             mat, _ = dense_transition_matrix(profile)
             symmetric &= bool((mat == mat.T).all())
     record_criterion(
         "2", worst_fp < 1e-12 and symmetric,
-        f"uniform fixed point (max dev {worst_fp:.2e}) and exact pairwise "
-        f"flow symmetry, decks 2/4/6, a in {{0.25, 0.5, 1}}")
+        f"uniform fixed point on permutations and on orbits (max dev {worst_fp:.2e}) "
+        f"and exact pairwise flow symmetry, decks 2/4/6, a in {{0.25, 0.5, 1}}")
 
 
 def test_criterion_3_tv_time_below_separation_time():

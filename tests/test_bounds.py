@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import evolve
+from _helpers import evolve, lehmer_operator
 from _reference import (
     coupon_variance_bound,
     derangement_count,
@@ -183,7 +183,7 @@ class TestWalker:
 
     def test_matches_exact_distribution_small_deck(self):
         profile = make_bias_profile(3, 0.5)
-        op = ea.build_operator(profile)
+        op = lehmer_operator(profile)
         dist = evolve(op, ea.point_mass(op), 3)
         exact = state_mass_at_least(op, dist, 1)
         [est] = lower_bound_sweep(profile, [3], 1, 40_000, seed=5)
@@ -224,10 +224,15 @@ class TestLowerBound:
     def test_bound_is_below_exact_tv(self):
         # the certified quantity must sit under the true distance
         profile = make_bias_profile(3, 0.5)
-        op = ea.build_operator(profile)
+        op = lehmer_operator(profile)
         for row in lower_bound_sweep(profile, [1, 3, 6, 10], 1, 40_000, seed=5):
-            exact_tv = ea.tv_distance(evolve(op, ea.point_mass(op), row.t))
+            exact_tv = ea.tv_distance(evolve(op, ea.point_mass(op), row.t), op.sizes)
             assert row.bound <= exact_tv + 4 * max(row.stderr, 1e-4)
+
+    @pytest.mark.parametrize("threshold", [0, 4])
+    def test_threshold_outside_type_a_count_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            lower_bound_sweep(make_bias_profile(3, 0.5), [1], threshold, 10, seed=5)
 
     def test_suggested_threshold(self):
         assert suggested_threshold(2) == 2

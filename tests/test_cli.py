@@ -211,36 +211,36 @@ def test_option_inventory():
     assert {None: options(parser), **found} == OPTIONS
 
 
-def _refuse_all_perms(monkeypatch):
-    """Make listing the permutations of a deck raise, so no exact work runs."""
+def _refuse_listing(monkeypatch):
+    """Make listing the orbits of a deck raise, so no exact work runs."""
     class Listed(Exception):
         pass
 
-    def listed(deck):
-        raise Listed(deck)
-    monkeypatch.setattr(exact_analysis, "all_perms", listed)
+    def listed(profile):
+        raise Listed(profile)
+    monkeypatch.setattr(exact_analysis, "list_orbits", listed)
     return Listed
 
 
 class TestExitCodes:
     def test_capacity(self, monkeypatch):
-        # the byte estimate admits deck 10, which reaches the listing
-        listed = _refuse_all_perms(monkeypatch)
+        # the orbit budget admits deck 18, which reaches the listing
+        listed = _refuse_listing(monkeypatch)
         with pytest.raises(listed):
-            main(["exact", "--deck", "10"])
+            main(["exact", "--deck", "18"])
 
-    def test_capacity_over_byte_budget(self, monkeypatch, capsys):
-        # the byte estimate refuses deck 12 before any permutation is listed
-        _refuse_all_perms(monkeypatch)
+    def test_capacity_over_orbit_budget(self, monkeypatch, capsys):
+        # the orbit count refuses deck 20 before any orbit is listed
+        _refuse_listing(monkeypatch)
         start = time.perf_counter()
-        assert main(["exact", "--deck", "12"]) == 3
+        assert main(["exact", "--deck", "20"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "0"],
                                        ["--t-max", "-1"]])
     def test_exact_rejects_bad_input_before_building(self, monkeypatch, capsys, flags):
-        _refuse_all_perms(monkeypatch)
+        _refuse_listing(monkeypatch)
         assert main(["exact", "--deck", "8"] + flags) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -271,6 +271,31 @@ class TestExitCodes:
                 assert "a must lie in (0, 1]" in capsys.readouterr().err
             assert main(["conjecture", "--n-list", "4", "-a", a]) == 2
             assert "a must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_gaps_refuse_undefined_correlations(self, monkeypatch, capsys):
+        argv = ["marking", "--mode", "gaps", "--deck", "10", "--c1", "0.6"]
+        assert main(argv + ["--trials", "1"]) == 2
+        out = capsys.readouterr()
+        assert "NaN" not in out.out and "two trials" in out.err
+        bulk = cli.marking.bulk_marking_runs
+
+        def last_gap_constant(*args, **kwargs):
+            result = bulk(*args, **kwargs)
+            result.mark_times[:, -1] = result.mark_times[:, -2] + 1
+            return result
+        monkeypatch.setattr(cli.marking, "bulk_marking_runs", last_gap_constant)
+        assert main(argv + ["--trials", "50"]) == 2
+        out = capsys.readouterr()
+        assert "NaN" not in out.out and "gap 4 takes one value" in out.err
+
+    @pytest.mark.parametrize("threshold,code", [("-1", 2), ("0", 2), ("1", 0), ("2", 0),
+                                                ("3", 2), ("99", 2)])
+    def test_lowerbound_threshold_range(self, capsys, threshold, code):
+        assert main(["lowerbound", "--deck", "4", "--threshold", threshold,
+                     "--trials", "10"]) == code
+        out = capsys.readouterr()
+        if code:
+            assert out.out == "" and "threshold must lie in 1..2" in out.err
 
     def test_step_cap_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.marking, "default_step_cap", lambda deck: 2)

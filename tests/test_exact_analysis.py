@@ -1,4 +1,9 @@
-"""Exact small-deck machinery: ranking, operator, distances, mixing times."""
+"""Exact small-deck machinery: ranking, operators, distances, mixing times.
+
+The orbit engine of ``exact_analysis`` is pinned to the Lehmer operator on
+all N! permutations in ``_helpers``, which is pinned in turn to the dense
+transition matrix of ``_reference``.
+"""
 import itertools
 import json
 import math
@@ -8,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import evolve
+import _helpers
+from _helpers import (
+    EXACT_BYTE_BUDGET,
+    all_perms,
+    evolve,
+    exact_bytes,
+    lehmer_operator,
+)
 from _reference import (
     dense_transition_matrix,
     fixed_a_counts,
@@ -19,20 +31,23 @@ from _reference import (
 from biased_shuffle import cli, exact_analysis
 from biased_shuffle.chain_core import make_bias_profile
 from biased_shuffle.exact_analysis import (
-    EXACT_BYTE_BUDGET,
     CapacityError,
-    all_perms,
     build_operator,
+    check_capacity,
     cutoff_profile,
     distance_scan,
     encode_many,
-    exact_bytes,
+    list_orbits,
     mixing_time,
+    orbit_count,
     point_mass,
     separation_distance,
     theory_time,
     tv_distance,
 )
+
+# Orbits of decks 2, 4, ..., 20, from the necklace generating function.
+ORBIT_COUNTS = [2, 10, 38, 158, 602, 2382, 9142, 35492, 136936, 530404]
 
 
 def transition_mass(op, x: int, y: int) -> float:
@@ -71,14 +86,38 @@ class TestRanking:
             lex_unrank(-1, 4)
 
 
+def orbit_key(perm) -> tuple:
+    """Orbit of a permutation, found from its cycles without the engine.
+
+    ``perm`` lists the card at each position; its inverse, card -> position,
+    is the engine's sigma.  Each cycle becomes the word of its cards' types,
+    read from its least rotation.
+    """
+    half = len(perm) // 2
+    pos_of = np.argsort(perm)
+    seen, words = set(), []
+    for first in range(len(perm)):
+        if first in seen:
+            continue
+        cycle, card = [], first
+        while card not in seen:
+            seen.add(card)
+            cycle.append("a" if card < half else "b")
+            card = int(pos_of[card])
+        words.append(min("".join(cycle[i:] + cycle[:i]) for i in range(len(cycle))))
+    return tuple(sorted(words))
+
+
 class TestOperator:
+    """The Lehmer operator on all permutations, the orbit engine's oracle."""
+
     def test_capacity_guard(self, monkeypatch):
-        # the byte estimate refuses deck 12 before any permutation is listed
-        def listed(deck):
-            raise AssertionError("all_perms ran for an oversized deck")
-        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        # the orbit budget refuses deck 20 before any orbit is listed
+        def listed(profile):
+            raise AssertionError("list_orbits ran for an oversized deck")
+        monkeypatch.setattr(exact_analysis, "list_orbits", listed)
         with pytest.raises(CapacityError, match="budget"):
-            build_operator(make_bias_profile(6, 1.0))
+            build_operator(make_bias_profile(10, 1.0))
 
     def test_byte_budget_admits_deck_10_only(self, monkeypatch):
         assert exact_bytes(10) <= EXACT_BYTE_BUDGET < exact_bytes(12)
@@ -88,13 +127,15 @@ class TestOperator:
 
         def listed(deck):
             raise Listed
-        monkeypatch.setattr(exact_analysis, "all_perms", listed)
+        monkeypatch.setattr(_helpers, "all_perms", listed)
         with pytest.raises(Listed):
-            build_operator(make_bias_profile(5, 0.5))
+            lehmer_operator(make_bias_profile(5, 0.5))
+        with pytest.raises(ValueError, match="budget"):
+            lehmer_operator(make_bias_profile(6, 0.5))
 
     def test_one_step_unbiased_masses(self):
         # identity stays with probability 1/4, each transposition gets 1/8
-        op = build_operator(make_bias_profile(2, 1.0))
+        op = lehmer_operator(make_bias_profile(2, 1.0))
         dist = evolve(op, point_mass(op), 1)
         assert dist[0] == pytest.approx(0.25, abs=1e-15)
         swaps = np.sort(dist[1:])
@@ -104,14 +145,15 @@ class TestOperator:
         assert np.allclose(nonzero, 0.125, atol=1e-15)
 
     def test_one_step_two_cards_biased(self):
-        op = build_operator(make_bias_profile(1, 0.5))
-        dist = evolve(op, point_mass(op), 1)
-        assert dist.tolist() == pytest.approx([0.625, 0.375], abs=1e-15)
+        for op in (lehmer_operator(make_bias_profile(1, 0.5)),
+                   build_operator(make_bias_profile(1, 0.5))):
+            dist = evolve(op, point_mass(op), 1)
+            assert dist.tolist() == pytest.approx([0.625, 0.375], abs=1e-15)
 
     @pytest.mark.parametrize("deck,a", [(4, 1.0), (4, 0.5), (6, 0.5)])
     def test_matches_dense_oracle(self, deck, a):
         profile = make_bias_profile(deck // 2, a)
-        op = build_operator(profile)
+        op = lehmer_operator(profile)
         mat, perms = dense_transition_matrix(profile)
         # permutation tuples enumerate in lexicographic order on both sides
         dist = point_mass(op)
@@ -125,7 +167,7 @@ class TestOperator:
     @pytest.mark.parametrize("deck", [2, 4, 6])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
     def test_apply_matches_per_column_gathers_bit_for_bit(self, deck, a):
-        op = build_operator(make_bias_profile(deck // 2, a))
+        op = lehmer_operator(make_bias_profile(deck // 2, a))
         by_state = op.table.T  # the (N!, T) layout, one column per transposition
 
         def apply_by_columns(dist):
@@ -140,7 +182,7 @@ class TestOperator:
 
     def test_transition_mass_lookup(self):
         profile = make_bias_profile(2, 0.5)
-        op = build_operator(profile)
+        op = lehmer_operator(profile)
         mat, _ = dense_transition_matrix(profile)
         for x in (0, 3, 11, 23):
             for y in (0, 5, 23):
@@ -149,9 +191,10 @@ class TestOperator:
     @pytest.mark.parametrize("deck", [2, 4, 6])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
     def test_uniform_is_fixed_point(self, deck, a):
-        op = build_operator(make_bias_profile(deck // 2, a))
-        u = np.full(op.state_count, 1.0 / op.state_count)
-        assert np.abs(op.apply(u) - u).max() < 1e-12
+        profile = make_bias_profile(deck // 2, a)
+        for op in (lehmer_operator(profile), build_operator(profile)):
+            u = op.sizes / math.factorial(deck)
+            assert np.abs(op.apply(u) - u).max() < 1e-12
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
     def test_flow_symmetry(self, a):
@@ -161,7 +204,7 @@ class TestOperator:
         assert np.abs(mat - mat.T).max() == 0.0
 
     def test_flow_symmetry_spot_larger_deck(self):
-        op = build_operator(make_bias_profile(3, 0.5))
+        op = lehmer_operator(make_bias_profile(3, 0.5))
         rng = np.random.default_rng(4)
         for _ in range(200):
             x, y = rng.integers(0, op.state_count, 2)
@@ -169,18 +212,71 @@ class TestOperator:
                 transition_mass(op, int(y), int(x)), abs=1e-15)
 
 
+class TestOrbitEngine:
+    @pytest.mark.parametrize("deck", [2, 4, 6, 8])
+    def test_orbits_are_the_cycle_words_of_all_permutations(self, deck):
+        orbits, _, _ = list_orbits(make_bias_profile(deck // 2, 0.5))
+        assert orbits[0] == orbit_key(range(deck))
+        assert sorted(orbits) == sorted({orbit_key(p) for p in all_perms(deck)})
+
+    @pytest.mark.parametrize("deck", [2, 4, 6, 8, 10, 12])
+    def test_orbit_counts_and_sizes(self, deck):
+        op = build_operator(make_bias_profile(deck // 2, 0.5))
+        assert op.state_count == ORBIT_COUNTS[deck // 2 - 1]
+        assert op.sizes.min() >= 1
+        assert sum(op.sizes.tolist()) == math.factorial(deck)
+
+    def test_orbit_count_formula(self):
+        assert [orbit_count(n) for n in range(1, 11)] == ORBIT_COUNTS
+
+    def test_budget_admits_deck_18_only(self):
+        assert orbit_count(9) <= exact_analysis.ORBIT_BUDGET < orbit_count(10)
+        check_capacity(18)
+        for deck in (20, 22, 32766):
+            with pytest.raises(CapacityError, match="budget"):
+                check_capacity(deck)
+
+    @pytest.mark.parametrize("deck", [2, 4, 6, 8])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+    def test_matches_lehmer_oracle(self, deck, a):
+        # orbit masses are the Lehmer law summed over each orbit, at every
+        # step to twice the theory time and on to the last crossing
+        profile = make_bias_profile(deck // 2, a)
+        op, oracle = build_operator(profile), lehmer_operator(profile)
+        orbits, _, _ = list_orbits(profile)
+        where = {orbit: i for i, orbit in enumerate(orbits)}
+        member_of = np.array([where[orbit_key(p)] for p in all_perms(deck)])
+        times = {(eps, metric): mixing_time(op, eps, metric)
+                 for eps in (0.5, 0.25, 0.1) for metric in ("tv", "separation")}
+        assert times == {key: mixing_time(oracle, *key) for key in times}
+        horizon = max(2 * theory_time(profile), *times.values())
+        dist, law = point_mass(op), point_mass(oracle)
+        for t, (row, oracle_row) in enumerate(zip(cutoff_profile(op, range(horizon + 1)),
+                                                  cutoff_profile(oracle, range(horizon + 1)))):
+            assert np.abs(np.bincount(member_of, law, op.state_count) - dist).max() < 1e-12
+            assert row[0] == oracle_row[0] == t
+            assert abs(row[1] - oracle_row[1]) < 1e-12
+            assert abs(row[2] - oracle_row[2]) < 1e-12
+            dist, law = op.apply(dist), oracle.apply(law)
+
+    def test_transition_masses_sum_to_one(self):
+        op = build_operator(make_bias_profile(5, 0.25))
+        out = np.bincount(op.table[0], op.weights, op.state_count) + op.stay
+        assert np.abs(out - 1.0).max() < 1e-14
+
+
 class TestDistances:
     def test_t1_values_unbiased(self):
         op = build_operator(make_bias_profile(2, 1.0))
         dist = evolve(op, point_mass(op), 1)
-        assert tv_distance(dist) == pytest.approx(17 / 24, abs=1e-12)
-        assert separation_distance(dist) == pytest.approx(1.0, abs=1e-12)
+        assert tv_distance(dist, op.sizes) == pytest.approx(17 / 24, abs=1e-12)
+        assert separation_distance(dist, op.sizes) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_distances(self):
         op = build_operator(make_bias_profile(2, 1.0))
         dist = point_mass(op)
-        assert tv_distance(dist) == pytest.approx(1 - 1 / 24, abs=1e-14)
-        assert separation_distance(dist) == pytest.approx(1.0)
+        assert tv_distance(dist, op.sizes) == pytest.approx(1 - 1 / 24, abs=1e-14)
+        assert separation_distance(dist, op.sizes) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("deck,a", [(4, 0.5), (4, 1.0), (6, 0.25)])
     def test_tv_below_separation_and_monotone(self, deck, a):
@@ -195,8 +291,8 @@ class TestDistances:
         rows = cutoff_profile(op, [0, 2, 5])
         d = evolve(op, point_mass(op), 5)
         assert [row[0] for row in rows] == [0, 2, 5]
-        assert rows[-1][1] == pytest.approx(tv_distance(d), abs=1e-14)
-        assert rows[-1][2] == pytest.approx(separation_distance(d), abs=1e-14)
+        assert rows[-1][1] == pytest.approx(tv_distance(d, op.sizes), abs=1e-14)
+        assert rows[-1][2] == pytest.approx(separation_distance(d, op.sizes), abs=1e-14)
 
 
 class TestScan:
@@ -204,7 +300,7 @@ class TestScan:
         op = build_operator(make_bias_profile(2, 0.5))
         for t, tv, sep in itertools.islice(distance_scan(op), 8):
             d = evolve(op, point_mass(op), t)
-            assert (tv, sep) == (tv_distance(d), separation_distance(d))
+            assert (tv, sep) == (tv_distance(d, op.sizes), separation_distance(d, op.sizes))
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(exact_analysis, "MAX_SCAN_STEPS", 3)
@@ -242,9 +338,9 @@ class TestMixingTime:
                 for metric in ("tv", "separation"):
                     t = mixing_time(op, eps, metric=metric)
                     fn = tv_distance if metric == "tv" else separation_distance
-                    assert fn(evolve(op, point_mass(op), t)) <= eps
+                    assert fn(evolve(op, point_mass(op), t), op.sizes) <= eps
                     if t > 0:
-                        assert fn(evolve(op, point_mass(op), t - 1)) > eps
+                        assert fn(evolve(op, point_mass(op), t - 1), op.sizes) > eps
 
     @pytest.mark.parametrize("deck", [4, 6])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
@@ -277,7 +373,7 @@ class TestObservables:
 
     def test_state_mass_under_uniform_matches_combinatorics(self):
         from biased_shuffle.bounds import uniform_fixed_mass
-        op = build_operator(make_bias_profile(3, 1.0))
+        op = lehmer_operator(make_bias_profile(3, 1.0))
         u = np.full(op.state_count, 1.0 / op.state_count)
         for threshold in range(0, 4):
             assert state_mass_at_least(op, u, threshold) == pytest.approx(

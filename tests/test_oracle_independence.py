@@ -11,7 +11,9 @@ FAST_PATHS = frozenset({
     "hands_from_uniforms",
     "HandStream",
     "build_operator",
+    "list_orbits",
     "TransitionOperator",
+    "lehmer_operator",
     "expected_absorption",
     "absorption_bound_table",
     "simulate_absorption",
