@@ -202,5 +202,5 @@ def lower_bound_sweep(profile: BiasProfile, t_values, threshold: int,
 
 
 def suggested_threshold(n: int) -> int:
-    """Default mass threshold: square root of the deck size, rounded up."""
-    return max(1, math.ceil(math.sqrt(2 * n)))
+    """Default mass threshold: square root of the deck size, rounded up, at most n."""
+    return min(n, math.ceil(math.sqrt(2 * n)))

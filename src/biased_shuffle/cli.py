@@ -43,10 +43,6 @@ from .exact_analysis import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _list(value: str, cast) -> list:
     """The items of a comma-separated string, each through ``cast``."""
     return [cast(part) for part in value.split(",") if part.strip()]
@@ -54,7 +50,7 @@ def _list(value: str, cast) -> list:
 
 def _profile_from(ns) -> "BiasProfile":
     if ns.deck < 2 or ns.deck % 2:
-        raise UsageError("deck size must be a positive even number")
+        raise ValueError("deck size must be a positive even number")
     return make_bias_profile(ns.deck // 2, ns.a)
 
 
@@ -105,7 +101,7 @@ def cmd_exact(ns) -> int:
     profile = _profile_from(ns)
     t_max = ns.t_max if ns.t_max is not None else 2 * theory_time(profile)
     if t_max < 0:
-        raise UsageError("t-max must be nonnegative")
+        raise ValueError("t-max must be nonnegative")
     eps = check_eps(ns.eps)
     op = build_operator(profile)
     rows = cutoff_profile(op, range(t_max + 1))
@@ -180,7 +176,7 @@ def cmd_typechain(ns) -> int:
 def cmd_lowerbound(ns) -> int:
     profile = _profile_from(ns)
     threshold = ns.threshold if ns.threshold is not None \
-        else min(profile.n, bounds.suggested_threshold(profile.n))
+        else bounds.suggested_threshold(profile.n)
     if ns.t_list is not None:
         ts = _list(ns.t_list, int)
     else:
@@ -279,7 +275,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -23,13 +23,13 @@ once as a (numerator, denominator) rule of hand weights.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
 trajectories as numpy rows.  It keeps per run only what the law reads: card
-positions, the marked set, the marked and type-A counts and the lowest
-marked card of each type.  It derives the phase from the marked count and
-writes a run's deck once, when the run finishes.  It draws from a single
-stream derived from (seed, tag), so its output is a deterministic function
-of (seed, trials).  The tests check it against a scalar per-trajectory
-engine and an exact dynamic program over (deck, marked set), both built on
-the same rules.
+positions, the marked set, the marked count and the lowest marked card of
+each type.  It derives the phase from the marked count and writes a run's
+deck once, when the run finishes.  It draws from a single stream derived
+from (seed, tag), so its output is a deterministic function of (seed,
+trials).  The tests check it against a scalar per-trajectory engine and an
+exact dynamic program over (deck, marked set), both built on the same
+rules.
 """
 from __future__ import annotations
 
@@ -152,14 +152,14 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     """Run many marking trajectories in one vectorised sweep.
 
     Each run keeps only what the law reads: ``pos_of`` (the position of
-    every card), the marked set, the marked count ``k``, the type-A count
-    ``ka`` and, once the run is in phase two, ``low``, the lowest marked
-    label of each type (``deck`` while none is marked).  Marks only add to
-    ``k``, so a run is in phase two exactly while ``k >= threshold``; the
-    type-B count is ``k - ka``; and a run's deck is written once, as the
-    inverse of its ``pos_of`` row, when it finishes.  A pair draw can only
-    hit an assigned card when the right hand holds ``low`` of its type, so
-    :func:`assigned_card` runs on those few rows alone.
+    every card), the marked set, the marked count ``k`` and, once the run
+    is in phase two, ``low``, the lowest marked label of each type
+    (``deck`` while none is marked).  Marks only add to ``k``, so a run is
+    in phase two exactly while ``k >= threshold``, and a run's deck is
+    written once, as the inverse of its ``pos_of`` row, when it finishes.
+    A pair draw can only hit an assigned card when the right hand holds
+    ``low`` of its type, so :func:`assigned_card` runs on those few rows
+    alone.  The census derives each run's type-A count from the marked set.
     """
     n = profile.n
     deck = profile.deck_size
@@ -174,7 +174,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     pos_of = np.tile(labels, (trials, 1))
     marked = np.zeros((trials, deck), dtype=bool)
     k = np.zeros(trials, dtype=np.int16)
-    ka = np.zeros(trials, dtype=np.int16)
     low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
     # pos_of and marked stay C-contiguous through compaction, so card c of
@@ -191,6 +190,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     def coin(u, rule):
         num, den = rule
         return u * den < num
+
+    def lowest_marked(rows_marked):
+        """Lowest marked label of each type in each row, ``deck`` where none is."""
+        return np.where(rows_marked.reshape(-1, 2, n), labels.reshape(2, n), deck).min(axis=2)
 
     t = 0
     while pos_of.shape[0]:
@@ -242,8 +245,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         do_mark = new_mark >= 0
 
         if census is not None:
-            # the counters still hold their values from before this step
-            cells = ka.astype(np.int64) * (n + 1) + (k - ka)
+            # k and marked still hold their values from before this step
+            ka = np.count_nonzero(marked[:, :n], axis=1)
+            cells = ka * (n + 1) + (k - ka)
             rows1 = np.flatnonzero(~in2)
             if rows1.size:
                 np.add.at(census.phase1_steps, cells[rows1], 1)
@@ -263,19 +267,16 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             cards = new_mark[midx]
             flat_marked[row_base[midx] + cards] = True
             k[midx] += 1
-            is_a = cards < n
-            ka[midx] += is_a
             if live2:
                 # only phase two reads low; a run entering it takes low below
                 was2 = in2[midx]
-                m2, col = midx[was2], (~is_a[was2]).astype(np.intp)
+                m2, col = midx[was2], (cards[was2] >= n).astype(np.intp)
                 low[m2, col] = np.minimum(low[m2, col], cards[was2])
             k_now = k[midx]
             enter = midx[k_now == threshold]
             if enter.size:
                 out_tp1[orig[enter]] = t
-                low[enter] = np.where(marked[enter].reshape(-1, 2, n),
-                                      labels.reshape(2, n), deck).min(axis=2)
+                low[enter] = lowest_marked(marked[enter])
             if out_times is not None:
                 out_times[orig[midx], k_now.astype(np.int64)] = t
             fin = midx[k_now == deck]
@@ -290,16 +291,14 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 dst = free_hand[vidx]
                 flat_marked[row_base[vidx] + src] = False
                 flat_marked[row_base[vidx] + dst] = True
-                ka[vidx] += (dst < n).astype(np.int16) - (src < n).astype(np.int16)
                 col = (dst >= n).astype(np.intp)
                 low[vidx, col] = np.minimum(low[vidx, col], dst)
                 col = (src >= n).astype(np.intp)
-                lost = np.flatnonzero(low[vidx, col] == src)
+                lost = vidx[low[vidx, col] == src]
                 if lost.size:
-                    # phase two keeps a mark of each type, so one is always found
-                    lrows, lcol = vidx[lost], col[lost]
-                    own = (labels >= n) == (src[lost] >= n)[:, None]
-                    low[lrows, lcol] = np.argmax(marked[lrows] & own, axis=1)
+                    # low of the other type is already right, so both are
+                    # recomputed; phase two keeps a mark of each type
+                    low[lost] = lowest_marked(marked[lost])
 
         # only a mark can finish a run
         if midx.size:
@@ -310,7 +309,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 pos_of = pos_of[keep]
                 marked = marked[keep]
                 k = k[keep]
-                ka = ka[keep]
                 low = low[keep]
                 orig = orig[keep]
 

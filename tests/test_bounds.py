@@ -238,4 +238,4 @@ class TestLowerBound:
         assert suggested_threshold(2) == 2
         assert suggested_threshold(8) == 4
         assert suggested_threshold(512) == 32
-        assert suggested_threshold(1) == 2
+        assert suggested_threshold(1) == 1

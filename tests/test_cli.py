@@ -117,6 +117,15 @@ class TestSmoke:
         assert len(body) == 3
         assert body[1].split(",")[1] == "3"  # default threshold ceil(sqrt(6))
 
+    def test_lowerbound_default_threshold_at_deck_2(self, tmp_path):
+        # ceil(sqrt(2)) = 2 is capped at the deck's one type-A card
+        code, out = run_to_file(tmp_path, "lb2.csv",
+                                ["lowerbound", "--deck", "2", "--trials", "200",
+                                 "--t-list", "1"])
+        assert code == 0
+        _, _, body = read_output(out)
+        assert body[1].split(",")[1] == "1"
+
     def test_conjecture(self, tmp_path):
         code, out = run_to_file(tmp_path, "conj.csv",
                                 ["conjecture", "--n-list", "4,8",

@@ -39,14 +39,13 @@ from biased_shuffle.exact_analysis import (
     encode_many,
     list_orbits,
     mixing_time,
-    orbit_count,
     point_mass,
     separation_distance,
     theory_time,
     tv_distance,
 )
 
-# Orbits of decks 2, 4, ..., 20, from the necklace generating function.
+# Orbits of decks 2, 4, ..., 20 (multisets of cyclic A/B words).
 ORBIT_COUNTS = [2, 10, 38, 158, 602, 2382, 9142, 35492, 136936, 530404]
 
 
@@ -112,7 +111,7 @@ class TestOperator:
     """The Lehmer operator on all permutations, the orbit engine's oracle."""
 
     def test_capacity_guard(self, monkeypatch):
-        # the orbit budget refuses deck 20 before any orbit is listed
+        # the size cap refuses deck 20 before any orbit is listed
         def listed(profile):
             raise AssertionError("list_orbits ran for an oversized deck")
         monkeypatch.setattr(exact_analysis, "list_orbits", listed)
@@ -226,11 +225,8 @@ class TestOrbitEngine:
         assert op.sizes.min() >= 1
         assert sum(op.sizes.tolist()) == math.factorial(deck)
 
-    def test_orbit_count_formula(self):
-        assert [orbit_count(n) for n in range(1, 11)] == ORBIT_COUNTS
-
     def test_budget_admits_deck_18_only(self):
-        assert orbit_count(9) <= exact_analysis.ORBIT_BUDGET < orbit_count(10)
+        assert exact_analysis.MAX_EXACT_DECK == 18
         check_capacity(18)
         for deck in (20, 22, 32766):
             with pytest.raises(CapacityError, match="budget"):
