@@ -110,7 +110,7 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     counts = np.empty((trials, len(ts)), dtype=np.int16)
     touch_picks = np.full(trials, -1, dtype=np.int64) if tt is not None else None
     if tt is not None:
-        slack = coupon_expectation(n, tt, profile.a) if tt < n else 0.0
+        slack = coupon_expectation(n, tt, profile.a)
         step_cap = max(t_max, math.ceil(10 * slack) + 100)
     else:
         step_cap = t_max
@@ -134,10 +134,9 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             flat_untouched = untouched.reshape(-1)
             ucnt = np.full(bsz, n, dtype=np.int32)
             b_picks = touch_picks[start:stop]  # a view: hits land in the result
-            if tt < n:
-                open_rows = np.arange(bsz)
-            else:
-                b_picks[:] = 0
+            # a run that starts with at most K untouched is decided at pick 0
+            b_picks[ucnt <= tt] = 0
+            open_rows = np.flatnonzero(b_picks < 0)
         s = 0
         while True:
             if s in col_of:

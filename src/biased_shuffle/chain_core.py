@@ -24,7 +24,6 @@ DEFAULT_SEED = 1729
 STREAM_WALK = 1
 STREAM_MARKING = 2
 STREAM_TYPECHAIN = 3
-STREAM_TOUCH = 4
 
 # Card labels, positions and counters are int16 in the batched engines.
 MAX_DECK = int(np.iinfo(np.int16).max)

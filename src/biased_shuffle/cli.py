@@ -132,6 +132,9 @@ def cmd_marking(ns) -> int:
                                          always_mark=ns.always_mark)
         _emit(ns, (), (), payload=report)
     elif ns.mode == "gaps":
+        if ns.always_mark:
+            raise ValueError("--always-mark applies to --mode runs and "
+                             "uniformity only")
         report = marking.gap_correlation_report(profile, c1, trials, seed)
         _emit(ns, (), (), payload=report)
     else:
@@ -151,6 +154,7 @@ def cmd_marking(ns) -> int:
 
 def cmd_typechain(ns) -> int:
     n, a = ns.n, ns.a
+    type_chain._check_c1(ns.c1)
     if ns.mode == "rows":
         rows = []
         for ka in range(n + 1):
@@ -254,10 +258,11 @@ def build_parser():
     p.add_argument("--deck", type=int, default=12)
     p.add_argument("-a", type=float, default=0.5, dest="a")
     p.add_argument("--threshold", type=int, default=None)
-    p.add_argument("--t-list", default=None,
-                   help="comma separated checkpoint steps")
-    p.add_argument("--multiples", default="0.25,0.5,0.75,1.0,1.25",
-                   help="checkpoints as multiples of the theory time")
+    checkpoints = p.add_mutually_exclusive_group()
+    checkpoints.add_argument("--t-list", default=None,
+                             help="comma separated checkpoint steps")
+    checkpoints.add_argument("--multiples", default="0.25,0.5,0.75,1.0,1.25",
+                             help="checkpoints as multiples of the theory time")
     p.add_argument("--trials", type=int, default=20000)
 
     p = sub("conjecture", cmd_conjecture, "weighted diagonal harmonic probe")

@@ -19,7 +19,8 @@ cards: the j-th unmarked card of type X (ascending labels, from 0) gets the
 lowest marked card of type X and the j-th other marked card.  The engine
 looks a draw up through the inverse of that rule, :func:`assigned_card`, so
 no assignment is stored or rebuilt.  Each acceptance probability is stated
-once as a (numerator, denominator) rule of hand weights.
+once as a (numerator, denominator) rule of hand weights; triggers 1 to 3
+share :func:`mixed_rule`.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
 trajectories as numpy rows.  It keeps per run only what the law reads: card
@@ -54,14 +55,10 @@ def phase1_rule(a, w_r, w_l):
     return a * a, w_r * w_l
 
 
-def solo_rule(a, w_u):
-    """Both hands on the same unmarked u: mark u with probability a / w_u."""
-    return a, w_u
-
-
-def mixed_rule(a, w_marked):
-    """One hand marked: mark the other with probability a / w(marked)."""
-    return a, w_marked
+def mixed_rule(a, w_other):
+    """One unmarked hand: mark it with probability a / w(other hand), which is
+    a / w(u) on a solo draw, where both hands hold the same unmarked u."""
+    return a, w_other
 
 
 def pair_rule(a, w_u, w_r, w_l):
@@ -133,7 +130,8 @@ class MarkingCensus:
         self.phase1_marks = np.zeros(cells, dtype=np.int64)
         self.phase2_counts = np.zeros((cells, 4), dtype=np.int64)
 
-    def cell(self, ka: int, kb: int) -> int:
+    def cell(self, ka, kb):
+        """Flat cell index of (ka, kb), for ints or arrays."""
         return ka * (self.n + 1) + kb
 
 
@@ -230,8 +228,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             same = right == left
             mixed = in2 & (m_r != m_l)
             solo = in2 & same & ~m_r
-            # the unmarked hand; on a solo draw w_r = w_l, so mixed_rule
-            # gives solo_rule's a / w_u and the two share one coin
+            # the unmarked hand; on a solo draw w_r = w_l, so one
+            # mixed_rule coin of a / w(u) serves both draw kinds
             free_hand = np.where(m_r, left, right)
             ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
             new_mark = np.where((solo | mixed) & ok, free_hand, new_mark)
@@ -247,7 +245,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         if census is not None:
             # k and marked still hold their values from before this step
             ka = np.count_nonzero(marked[:, :n], axis=1)
-            cells = ka * (n + 1) + (k - ka)
+            cells = census.cell(ka, k - ka)
             rows1 = np.flatnonzero(~in2)
             if rows1.size:
                 np.add.at(census.phase1_steps, cells[rows1], 1)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from _reference import hand_probability, probability
-from biased_shuffle import make_bias_profile
-from biased_shuffle.chain_core import BiasProfile, hands_from_uniforms
+from biased_shuffle.chain_core import BiasProfile, hands_from_uniforms, make_bias_profile
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
     assigned_card,
@@ -32,7 +31,6 @@ from biased_shuffle.marking import (
     mixed_rule,
     pair_rule,
     phase1_rule,
-    solo_rule,
 )
 
 
@@ -266,7 +264,7 @@ def phase2_step(ms: MarkingState, right: int, left: int,
     a, w = ms.profile.a, ms.profile.weight
     m_right, m_left = ms.marked[right], ms.marked[left]
     if right == left:
-        if not m_right and ms._accept(solo_rule(a, w(right)), rng):
+        if not m_right and ms._accept(mixed_rule(a, w(right)), rng):
             ms._mark_phase2(right, left, right)
         return
     if not m_right and m_left:

@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from biased_shuffle import make_bias_profile
-from biased_shuffle.chain_core import STREAM_TOUCH, STREAM_WALK, check_bias, stream_rng
+from biased_shuffle.chain_core import STREAM_WALK, check_bias, make_bias_profile, stream_rng
 from biased_shuffle.marking import (
     mark_threshold,
     mixed_rule,
     pair_rule,
     phase1_rule,
-    solo_rule,
 )
 from biased_shuffle.type_chain import _check_c1
 
@@ -286,7 +284,7 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
                             put(marked, 1.0)
                     elif r == l:
                         if not m_r:
-                            acc = probability(solo_rule(a, w(r)))
+                            acc = probability(mixed_rule(a, w(r)))
                             put(marked | {r}, acc)
                             put(marked, 1.0 - acc)
                         else:
@@ -317,6 +315,11 @@ def coupon_variance_bound(n: int, a: float) -> float:
     """Upper bound on the variance of the touch-time pick count."""
     check_bias(a)
     return (2 * n / a) ** 2 * (math.pi ** 2 / 6)
+
+
+# Stream tag of the touch-pick sampler, kept off the package engines' tags
+# (chain_core.STREAM_WALK, STREAM_MARKING and STREAM_TYPECHAIN are 1 to 3).
+STREAM_TOUCH = 4
 
 
 def sample_touch_picks(n: int, a: float, threshold: int, trials: int,

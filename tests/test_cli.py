@@ -233,13 +233,13 @@ def _refuse_listing(monkeypatch):
 
 class TestExitCodes:
     def test_capacity(self, monkeypatch):
-        # the orbit budget admits deck 18, which reaches the listing
+        # the size cap, MAX_EXACT_DECK = 18, admits deck 18, which reaches the listing
         listed = _refuse_listing(monkeypatch)
         with pytest.raises(listed):
             main(["exact", "--deck", "18"])
 
     def test_capacity_over_orbit_budget(self, monkeypatch, capsys):
-        # the orbit count refuses deck 20 before any orbit is listed
+        # the size cap refuses deck 20 before any orbit is listed
         _refuse_listing(monkeypatch)
         start = time.perf_counter()
         assert main(["exact", "--deck", "20"]) == 3
@@ -296,6 +296,28 @@ class TestExitCodes:
         assert main(argv + ["--trials", "50"]) == 2
         out = capsys.readouterr()
         assert "NaN" not in out.out and "gap 4 takes one value" in out.err
+
+    @pytest.mark.parametrize("mode", ["rows", "absorption", "bound"])
+    def test_typechain_checks_c1_in_every_mode(self, capsys, mode):
+        for c1 in ("5", "-3", "0.5", "1", "nan"):
+            assert main(["typechain", "--n", "2", "--c1", c1, "--mode", mode]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "c1 must lie strictly between" in out.err
+
+    def test_gaps_refuse_always_mark(self, capsys):
+        # the gap report flips its coins, so the flag would be recorded and ignored
+        assert main(["marking", "--mode", "gaps", "--deck", "10", "--c1", "0.6",
+                     "--trials", "50", "--always-mark"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--always-mark" in out.err
+
+    def test_lowerbound_checkpoint_flags_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lowerbound", "--deck", "4", "--trials", "10",
+                  "--t-list", "1,2", "--multiples", "9"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
 
     @pytest.mark.parametrize("threshold,code", [("-1", 2), ("0", 2), ("1", 0), ("2", 0),
                                                 ("3", 2), ("99", 2)])

@@ -218,7 +218,7 @@ class TestOrbitEngine:
         assert orbits[0] == orbit_key(range(deck))
         assert sorted(orbits) == sorted({orbit_key(p) for p in all_perms(deck)})
 
-    @pytest.mark.parametrize("deck", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("deck", [2, 4, 6, 8, 10, 12, 14])
     def test_orbit_counts_and_sizes(self, deck):
         op = build_operator(make_bias_profile(deck // 2, 0.5))
         assert op.state_count == ORBIT_COUNTS[deck // 2 - 1]

@@ -38,7 +38,6 @@ from biased_shuffle.marking import (
     pair_rule,
     phase1_marking_rate,
     phase1_rule,
-    solo_rule,
     uniformity_test,
 )
 from biased_shuffle.type_chain import transition_row
@@ -52,7 +51,7 @@ def phase1_p(profile, r, l):
 
 
 def solo_p(profile, u):
-    return probability(solo_rule(profile.a, profile.weight(u)))
+    return probability(mixed_rule(profile.a, profile.weight(u)))
 
 
 def mixed_p(profile, marked_card):
@@ -87,9 +86,6 @@ class TestProbabilityHelpers:
         assert solo_p(H4, 2) == pytest.approx(1 / 3)
         assert mixed_p(H4, 0) == pytest.approx(1.0)
         assert mixed_p(H4, 3) == pytest.approx(1 / 3)
-        # the batched engine flips one coin for solo and mixed draws
-        for w in (0.25, 0.5, 1.0, 1.5, 1.75):
-            assert solo_rule(0.25, w) == mixed_rule(0.25, w)
         # u of weight w(u) inherits w(u)/w(r)w(l) scaled by a
         assert pair_p(H4, 0, 1, 2) == pytest.approx(1 / 3)
         assert pair_p(H4, 2, 3, 0) == pytest.approx(1.0)

@@ -48,3 +48,71 @@ def test_checker_flags_fast_path_imports():
 
 def test_reference_imports_no_fast_path():
     assert fast_paths_used(REFERENCE.read_text()) == set()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Paper bounds that only the acceptance gate reads, criteria 7i and 7ii.
+# They stay in src/ as the package's statement of the paper's bounds next
+# to the chain they bound, rather than moving into the test oracles.
+READ_BY_TESTS_ONLY = frozenset({"variance_bound", "phase2_upper_bound"})
+
+
+def public_definitions(source: str) -> set[str]:
+    """Public names a module binds at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: loads, attributes and dotted-name strings.
+
+    An import alone is not a read, so a re-export does not count.  Strings
+    count because the benchmark reaches the functions it wraps by name.
+    """
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                read.update(parts)
+    return read
+
+
+def unread_names(defining: list[str], reading: list[str]) -> set[str]:
+    """Public names defined in ``defining`` that no source in ``reading`` reads."""
+    defined = set().union(*map(public_definitions, defining))
+    return defined - set().union(*map(names_read, reading))
+
+
+def package_unread_names() -> set[str]:
+    package = [path.read_text() for path in sorted((ROOT / "src" / "biased_shuffle").glob("*.py"))]
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    return unread_names(package, package + bench)
+
+
+def test_checker_flags_unread_names():
+    module = "LIMIT = 3\n_HIDDEN = 1\ndef used():\n    return LIMIT\ndef spare():\n    pass\n"
+    assert unread_names([module], [module]) == {"used", "spare"}
+    assert unread_names([module], [module, "from m import spare\nused()"]) == {"spare"}
+    assert unread_names([module], [module, "m.used", "TARGETS = ('m', 'spare')"]) == set()
+
+
+def test_every_package_name_is_read_by_the_package_or_the_benchmark():
+    # a name only the tests read belongs in tests/_helpers.py or tests/_reference.py
+    assert package_unread_names() - READ_BY_TESTS_ONLY == set()
+
+
+def test_allowlist_holds_only_unread_names():
+    assert READ_BY_TESTS_ONLY <= package_unread_names()
