@@ -131,19 +131,23 @@ class HandStream:
         self._hands = np.empty(0, dtype=np.int64)
         self._at = 0
 
-    def take(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``m`` uniforms and their int64 card labels, not to be written to."""
+    def take(self, m: int, cards: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``m`` uniforms and the int64 card labels of the first
+        ``cards`` of them (all ``m`` by default), not to be written to."""
         start, stop = self._at, self._at + m
+        cut = stop if cards is None else start + cards
         if stop <= self._u.size:
             self._at = stop
-            return self._u[start:stop], self._hands[start:stop]
-        head_u, head_hands = self._u[start:], self._hands[start:]
-        missing = stop - self._u.size
+            return self._u[start:stop], self._hands[start:cut]
+        head_u, head_hands = self._u[start:], self._hands[start:cut]
+        missing, need = stop - self._u.size, max(cut - self._u.size, 0)
         self._u = self.rng.random(max(missing, HAND_BLOCK))
-        self._hands = hands_from_uniforms(self.profile, self._u)
+        # a block drawn for this take alone maps only the draws it has cards for
+        self._hands = hands_from_uniforms(
+            self.profile, self._u[:need] if missing >= HAND_BLOCK else self._u)
         self._u.flags.writeable = self._hands.flags.writeable = False
         self._at = missing
         if not head_u.size:
-            return self._u[:missing], self._hands[:missing]
+            return self._u[:missing], self._hands[:need]
         return (np.concatenate((head_u, self._u[:missing])),
-                np.concatenate((head_hands, self._hands[:missing])))
+                np.concatenate((head_hands, self._hands[:need])))

@@ -87,9 +87,11 @@ def assigned_card(marked, n: int, right, left):
     marked X, j-th marked card other than that one), so the pair hits a card
     exactly when ``right`` is the lowest marked card of its type and
     ``left``'s rank j among the other marked cards is below the number of
-    unmarked cards of that type; the card is then the j-th of them.  Takes
-    one run (``marked`` of shape (deck,), scalar hands) or a batch (shape
-    (rows, deck), hand arrays of shape (rows,)).
+    unmarked cards of that type; the card is then the j-th of them.  With k
+    cards marked, at most deck - k labels below ``left`` are unmarked, so
+    j >= left - (deck - k) - 1 and no ``left`` above 2 (deck - k) hits.
+    Takes one run (``marked`` of shape (deck,), scalar hands) or a batch
+    (shape (rows, deck), hand arrays of shape (rows,)).
     """
     marked = np.asarray(marked, dtype=bool)
     right = np.asarray(right)
@@ -152,12 +154,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     Each run keeps only what the law reads: ``pos_of`` (the position of
     every card), the marked set, the marked count ``k`` and, once the run
     is in phase two, ``low``, the lowest marked label of each type
-    (``deck`` while none is marked).  Marks only add to ``k``, so a run is
-    in phase two exactly while ``k >= threshold``, and a run's deck is
-    written once, as the inverse of its ``pos_of`` row, when it finishes.
-    A pair draw can only hit an assigned card when the right hand holds
-    ``low`` of its type, so :func:`assigned_card` runs on those few rows
-    alone.  The census derives each run's type-A count from the marked set.
+    (``deck`` before).  Marks only add to ``k``, so a run is in phase two
+    exactly while ``k >= threshold``, and a run's deck is written once, as
+    the inverse of its ``pos_of`` row, when it finishes.  A pair draw can
+    hit an assigned card only when the right hand holds ``low`` of its type
+    and the left hand is marked and at most 2 (deck - k), the rank bound of
+    :func:`assigned_card`, so the lookup runs on those few rows alone.  The
+    census derives each run's type-A count from the marked set.
     """
     n = profile.n
     deck = profile.deck_size
@@ -174,9 +177,12 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     k = np.zeros(trials, dtype=np.int16)
     low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
-    # pos_of and marked stay C-contiguous through compaction, so card c of
-    # run i sits at flat offset i * deck + c of both
+    # pos_of, marked and low stay C-contiguous through compaction: card c of run
+    # i sits at flat offset i * deck + c of the first two, its low at 2 i + (c >= n)
     row_base = np.arange(trials, dtype=np.int64) * deck
+    low_base = np.arange(0, 2 * trials, 2, dtype=np.int64)
+    no_coins = np.zeros(trials)  # always_mark's coins: every num > 0, so 0 * den < num
+    live2 = done = 0  # runs in phase two; finished runs not yet compacted away
 
     out_decks = np.empty((trials, deck), dtype=np.int16)
     out_tp1 = np.zeros(trials, dtype=np.int64)
@@ -200,12 +206,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             raise RuntimeError(f"batched marking exceeded {cap} steps; "
                                f"{pos_of.shape[0]} runs unfinished")
         batch = pos_of.shape[0]
-        draws, hands = stream.take(3 * batch)
-        pair = hands[:2 * batch].reshape(2, batch)
+        draws, hands = stream.take(3 * batch, cards=2 * batch)
+        pair = hands.reshape(2, batch)
         right, left = pair
-        # always_mark zeroes the coins; each rule's numerator is positive,
-        # so 0 * den < num accepts
-        u_acc = draws[2 * batch:] * (not always_mark)
+        u_acc = no_coins[:batch] if always_mark else draws[2 * batch:]
 
         offsets = pair + row_base[:batch]
         flat_pos = pos_of.reshape(-1)
@@ -213,29 +217,32 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         flat_pos[offsets] = held[::-1]
         flat_marked = marked.reshape(-1)
         m_r, m_l = flat_marked[offsets]
+        flat_low = low.reshape(-1)
         w_r, w_l = wt[pair]
-        in2 = k >= threshold
-        live2 = np.count_nonzero(in2)
+        # while one phase holds every run, its rules need no phase mask
+        in2 = k >= threshold if 0 < live2 < batch else live2 > 0
 
         # new_mark is the card each run marks this step, or -1; each phase's
         # rules run only on steps where some run is in that phase
         if live2 < batch:
-            acc1 = ~in2 & ~m_r & ~m_l & coin(u_acc, phase1_rule(a, w_r, w_l))
+            acc1 = ~(m_r | m_l | in2) & coin(u_acc, phase1_rule(a, w_r, w_l))
             new_mark = np.where(acc1, right, -1)
         else:
             new_mark = np.full(batch, -1, dtype=np.int64)
         if live2:
-            same = right == left
-            mixed = in2 & (m_r != m_l)
-            solo = in2 & same & ~m_r
+            mixed = (m_r != m_l) & in2
+            solo = (right == left) & ~m_r & in2
             # the unmarked hand; on a solo draw w_r = w_l, so one
             # mixed_rule coin of a / w(u) serves both draw kinds
             free_hand = np.where(m_r, left, right)
             ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
             new_mark = np.where((solo | mixed) & ok, free_hand, new_mark)
             move = mixed & ~ok
-            lowest = np.where(right < n, low[:, 0], low[:, 1])
-            cand = np.flatnonzero(in2 & ~same & m_r & m_l & (lowest == right))
+            # only a right hand on its type's low can hit, and only if the left
+            # hand's marked rank, at least left - (deck - k), is below deck - k
+            cand = np.flatnonzero(flat_low[low_base[:batch] + (right >= n)] == right)
+            room = deck - k[cand]
+            cand = cand[m_l[cand] & (left[cand] != right[cand]) & (left[cand] - room <= room)]
             if cand.size:
                 u = assigned_card(marked[cand], n, right[cand], left[cand])
                 ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
@@ -246,41 +253,19 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             # k and marked still hold their values from before this step
             ka = np.count_nonzero(marked[:, :n], axis=1)
             cells = census.cell(ka, k - ka)
-            rows1 = np.flatnonzero(~in2)
+            rows1 = np.flatnonzero(k < threshold)
             if rows1.size:
                 np.add.at(census.phase1_steps, cells[rows1], 1)
                 marked1 = do_mark[rows1]
                 if marked1.any():
                     np.add.at(census.phase1_marks, cells[rows1[marked1]], 1)
-            rows2 = np.flatnonzero(in2 & (k < deck))
+            rows2 = np.flatnonzero((k >= threshold) & (k < deck))
             if rows2.size:
                 kind = np.full(batch, STAY, dtype=np.int64)
                 kind[do_mark & (new_mark >= n)] = B_UP
                 kind[do_mark & (new_mark < n)] = A_UP
                 kind[move & (free_hand < n)] = MOVE
                 np.add.at(census.phase2_counts, (cells[rows2], kind[rows2]), 1)
-
-        midx = np.flatnonzero(do_mark)
-        if midx.size:
-            cards = new_mark[midx]
-            flat_marked[row_base[midx] + cards] = True
-            k[midx] += 1
-            if live2:
-                # only phase two reads low; a run entering it takes low below
-                was2 = in2[midx]
-                m2, col = midx[was2], (cards[was2] >= n).astype(np.intp)
-                low[m2, col] = np.minimum(low[m2, col], cards[was2])
-            k_now = k[midx]
-            enter = midx[k_now == threshold]
-            if enter.size:
-                out_tp1[orig[enter]] = t
-                low[enter] = lowest_marked(marked[enter])
-            if out_times is not None:
-                out_times[orig[midx], k_now.astype(np.int64)] = t
-            fin = midx[k_now == deck]
-            if fin.size:
-                out_tfull[orig[fin]] = t
-                out_decks[orig[fin][:, None], pos_of[fin]] = labels
 
         if live2:
             vidx = np.flatnonzero(move)
@@ -289,26 +274,47 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 dst = free_hand[vidx]
                 flat_marked[row_base[vidx] + src] = False
                 flat_marked[row_base[vidx] + dst] = True
-                col = (dst >= n).astype(np.intp)
-                low[vidx, col] = np.minimum(low[vidx, col], dst)
-                col = (src >= n).astype(np.intp)
-                lost = vidx[low[vidx, col] == src]
+                at = low_base[vidx] + (dst >= n)
+                flat_low[at] = np.minimum(flat_low[at], dst)
+                lost = vidx[flat_low[low_base[vidx] + (src >= n)] == src]
                 if lost.size:
                     # low of the other type is already right, so both are
                     # recomputed; phase two keeps a mark of each type
                     low[lost] = lowest_marked(marked[lost])
 
-        # only a mark can finish a run
+        midx = np.flatnonzero(do_mark)
         if midx.size:
-            alive = k < deck
-            dead = np.count_nonzero(~alive)
-            if dead and (dead * 8 >= batch or dead == batch):
-                keep = np.flatnonzero(alive)
-                pos_of = pos_of[keep]
-                marked = marked[keep]
-                k = k[keep]
-                low = low[keep]
-                orig = orig[keep]
+            cards = new_mark[midx]
+            flat_marked[row_base[midx] + cards] = True
+            k_now = k[midx] + 1
+            k[midx] = k_now
+            if live2:
+                # only phase two reads low; a run entering it takes low below
+                was2 = k_now > threshold
+                at = low_base[midx[was2]] + (cards[was2] >= n)
+                flat_low[at] = np.minimum(flat_low[at], cards[was2])
+            enter = midx[k_now == threshold]
+            if enter.size:
+                out_tp1[orig[enter]] = t
+                low[enter] = lowest_marked(marked[enter])
+                live2 += enter.size
+            if out_times is not None:
+                out_times[orig[midx], k_now.astype(np.int64)] = t
+            fin = midx[k_now == deck]
+            if fin.size:
+                out_tfull[orig[fin]] = t
+                out_decks[orig[fin][:, None], pos_of[fin]] = labels
+                done += fin.size
+
+        # done changes only on steps where a run finished
+        if done * 8 >= batch:
+            keep = np.flatnonzero(k < deck)
+            pos_of = pos_of[keep]
+            marked = marked[keep]
+            k = k[keep]
+            low = low[keep]
+            orig = orig[keep]
+            live2, done = live2 - done, 0
 
     return BulkMarkingResult(
         decks=out_decks, t_phase1=out_tp1, t_full=out_tfull, mark_times=out_times)

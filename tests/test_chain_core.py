@@ -210,13 +210,17 @@ class TestStreams:
 class TestHandStream:
     @pytest.mark.parametrize("block", [8, chain_core.HAND_BLOCK])
     def test_takes_match_per_call_draws(self, monkeypatch, block):
-        # takes that fit a block, cross a refill, outgrow a block, or are empty
+        # takes that fit a block, cross a refill, outgrow a block, or are
+        # empty, with labels for all draws (None) or for the first few only;
+        # a block drawn for one take alone maps only those first few
         monkeypatch.setattr(chain_core, "HAND_BLOCK", block)
         p = make_bias_profile(5, 0.3)
         stream = HandStream(p, stream_rng(8, 60))
         rng = stream_rng(8, 60)
-        for m in (3, 5, 1, 0, block - 2, 7, 2 * block + 5, 4, block, 11):
-            u, hands = stream.take(m)
+        for m, cards in ((3, None), (5, 2), (1, None), (0, 0), (block - 2, block - 3),
+                         (7, 3), (2 * block + 5, block), (4, 0), (block, block - 1),
+                         (11, None), (2 * block, 1), (3 * block, 0), (3, None)):
+            u, hands = stream.take(m, cards)
             want = rng.random(m)
             assert u.tolist() == want.tolist()
-            assert hands.tolist() == hands_from_uniforms(p, want).tolist()
+            assert hands.tolist() == hands_from_uniforms(p, want[:cards]).tolist()

@@ -50,12 +50,8 @@ def phase1_p(profile, r, l):
     return probability(phase1_rule(profile.a, profile.weight(r), profile.weight(l)))
 
 
-def solo_p(profile, u):
-    return probability(mixed_rule(profile.a, profile.weight(u)))
-
-
-def mixed_p(profile, marked_card):
-    return probability(mixed_rule(profile.a, profile.weight(marked_card)))
+def mixed_p(profile, other_card):
+    return probability(mixed_rule(profile.a, profile.weight(other_card)))
 
 
 def pair_p(profile, u, r, l):
@@ -82,8 +78,9 @@ class TestProbabilityHelpers:
         assert phase1_p(U4, 1, 3) == pytest.approx(1.0)
 
     def test_phase2_acceptance(self):
-        assert solo_p(H4, 1) == pytest.approx(1.0)
-        assert solo_p(H4, 2) == pytest.approx(1 / 3)
+        # a solo draw on u takes the mixed coin with the other hand on u too
+        assert mixed_p(H4, 1) == pytest.approx(1.0)
+        assert mixed_p(H4, 2) == pytest.approx(1 / 3)
         assert mixed_p(H4, 0) == pytest.approx(1.0)
         assert mixed_p(H4, 3) == pytest.approx(1 / 3)
         # u of weight w(u) inherits w(u)/w(r)w(l) scaled by a
@@ -159,6 +156,24 @@ class TestAssignment:
         got = assigned_card(np.tile(flags, (len(pairs), 1)), n, right, left)
         by_pair = asg.by_pair
         assert got.tolist() == [by_pair.get(pair, -1) for pair in pairs]
+
+    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_bound_skips_only_misses(self, n, data):
+        # bulk_marking_runs looks up a pair only when right is its type's
+        # lowest mark and left <= 2 (deck - k); every pair of that right hand
+        # with a marked left above the bound must miss
+        deck = 2 * n
+        k = data.draw(st.integers(n + 1, deck))
+        marked_set = data.draw(st.permutations(range(deck)).map(lambda p: p[:k]))
+        flags = np.zeros(deck, dtype=bool)
+        flags[list(marked_set)] = True
+        lows = {min(c for c in marked_set if c < n), min(c for c in marked_set if c >= n)}
+        pairs = [(r, l) for r in lows for l in marked_set if l != r and l > 2 * (deck - k)]
+        if pairs:
+            right, left = np.array(pairs).T
+            got = assigned_card(np.tile(flags, (len(pairs), 1)), n, right, left)
+            assert (got == -1).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_form_matches_greedy_exhaustively(self, n):

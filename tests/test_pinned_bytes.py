@@ -19,7 +19,10 @@ sampled conditional probe were deleted; each new output equals the old one
 with the ``verify_factorization`` header key and the ``conditional``
 payload key removed.  The bulk digests still hash ``None`` in the two slots
 that once held the first-k snapshot, so ``deck4-first-k``, which recorded
-it, now equals the old run hashed with ``None`` there.  So a
+it, now equals the old run hashed with ``None`` there.  The two 200-run
+deck-256 digests pin the engine at the batch size of the ``marking-deck256``
+benchmark workload; they were taken before the pair lookup was limited by
+its rank bound.  So a
 change that alters a random draw, its order, any marking decision or any
 floating-point operation order shows up here even when every statistical
 check still passes.  Update a digest only for a change that is meant to
@@ -92,6 +95,12 @@ BULK = {
     "deck256-a1": (
         dict(n=128, a=1.0, c1=0.75, trials=6, seed=4243),
         "4d212f2cd125af0f50c23a5504008edb58e966e6847b54a30b87c87e4699d4b7"),
+    "deck256-a0.5-200-runs": (
+        dict(n=128, a=0.5, c1=0.75, trials=200, seed=4244),
+        "c0fbd7c7866c4e10bcddf4716f293fa5175b1192589290af70e7ef6ed127d7c4"),
+    "deck256-a1-200-runs": (
+        dict(n=128, a=1.0, c1=0.75, trials=200, seed=4245),
+        "e4b4f788daeb2cfbab5fec32ce543c79b811428121ab67dd648e5975d3e3f422"),
     "deck4-first-k": (
         dict(n=2, a=0.5, c1=0.6, trials=3_000, seed=11),
         "7ae9032a9805c195ce781277ec87c2fd3bfcbb826536dceb8f999f5c916cd23b"),
