@@ -56,6 +56,8 @@ def uniform_fixed_pmf(n: int) -> np.ndarray:
                 break
         pmf[m] = lead * total
         lead *= (n - m) / ((m + 1) * (deck - m))
+        if lead == 0.0:
+            break  # every later mass is 0.0 too
     np.clip(pmf, 0.0, 1.0, out=pmf)
     return pmf
 

@@ -152,11 +152,16 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     """Run many marking trajectories in one vectorised sweep.
 
     Each run keeps only what the law reads: ``pos_of`` (the position of
-    every card), the marked set, the marked count ``k`` and, once the run
-    is in phase two, ``low``, the lowest marked label of each type
-    (``deck`` before).  Marks only add to ``k``, so a run is in phase two
-    exactly while ``k >= threshold``, and a run's deck is written once, as
-    the inverse of its ``pos_of`` row, when it finishes.  A pair draw can
+    every card), the marked set, the marked count ``k`` and ``low``, the
+    lowest marked label of each type.  ``low`` is current only for
+    phase-two runs: it is computed from the marked set at phase entry and
+    kept by every later event, while a phase-one run's ``low`` is stale and
+    masked out.  Marks only add to ``k``, so a run is in phase two exactly
+    while ``k >= threshold``, and a run's deck is written once, as the
+    inverse of its ``pos_of`` row, when it finishes.  Marks and moves share
+    one update: each run yields the card it gains this step, by a new mark
+    or a moved one, and one scatter marks them all and lowers ``low``;
+    then a move unmarks its source and a mark bumps ``k``.  A pair draw can
     hit an assigned card only when the right hand holds ``low`` of its type
     and the left hand is marked and at most 2 (deck - k), the rank bound of
     :func:`assigned_card`, so the lookup runs on those few rows alone.  The
@@ -177,10 +182,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     k = np.zeros(trials, dtype=np.int16)
     low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
-    # pos_of, marked and low stay C-contiguous through compaction: card c of run
-    # i sits at flat offset i * deck + c of the first two, its low at 2 i + (c >= n)
+    # pos_of and marked stay C-contiguous through compaction: card c of run i
+    # sits at flat offset i * deck + c of both
     row_base = np.arange(trials, dtype=np.int64) * deck
-    low_base = np.arange(0, 2 * trials, 2, dtype=np.int64)
     no_coins = np.zeros(trials)  # always_mark's coins: every num > 0, so 0 * den < num
     live2 = done = 0  # runs in phase two; finished runs not yet compacted away
 
@@ -217,42 +221,57 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         flat_pos[offsets] = held[::-1]
         flat_marked = marked.reshape(-1)
         m_r, m_l = flat_marked[offsets]
-        flat_low = low.reshape(-1)
         w_r, w_l = wt[pair]
-        # while one phase holds every run, its rules need no phase mask
-        in2 = k >= threshold if 0 < live2 < batch else live2 > 0
+        # phase masks are needed only on steps where both phases hold runs
+        split = 0 < live2 < batch
+        if split:
+            in2 = k >= threshold
 
-        # new_mark is the card each run marks this step, or -1; each phase's
-        # rules run only on steps where some run is in that phase
+        # gets marks the runs that gain a marked card this step, by a new mark
+        # or a moved one, and gain holds that card where gets is set; each
+        # phase's rules run only on steps where some run is in that phase
         if live2 < batch:
-            acc1 = ~(m_r | m_l | in2) & coin(u_acc, phase1_rule(a, w_r, w_l))
-            new_mark = np.where(acc1, right, -1)
-        else:
-            new_mark = np.full(batch, -1, dtype=np.int64)
+            acc1 = ~(m_r | m_l | in2) if split else ~(m_r | m_l)
+            acc1 &= coin(u_acc, phase1_rule(a, w_r, w_l))
+            gets, gain = acc1, right
         if live2:
-            mixed = (m_r != m_l) & in2
-            solo = (right == left) & ~m_r & in2
-            # the unmarked hand; on a solo draw w_r = w_l, so one
-            # mixed_rule coin of a / w(u) serves both draw kinds
-            free_hand = np.where(m_r, left, right)
+            mixed = m_r != m_l
+            solo = (right == left) & ~m_r
+            if split:
+                mixed &= in2
+                solo &= in2
+            # the unmarked hand, which is the right hand of a phase-one mark;
+            # on a solo draw w_r = w_l, so one mixed_rule coin of a / w(u)
+            # serves both draw kinds
+            gain = np.where(m_r, left, right)
             ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
-            new_mark = np.where((solo | mixed) & ok, free_hand, new_mark)
+            # a mixed draw either marks its free hand or moves the mark to it
             move = mixed & ~ok
+            gets = mixed | (solo & ok)
+            if split:
+                gets |= acc1
             # only a right hand on its type's low can hit, and only if the left
-            # hand's marked rank, at least left - (deck - k), is below deck - k
-            cand = np.flatnonzero(flat_low[low_base[:batch] + (right >= n)] == right)
-            room = deck - k[cand]
-            cand = cand[m_l[cand] & (left[cand] != right[cand]) & (left[cand] - room <= room)]
+            # hand is marked and its marked rank, at least left - (deck - k),
+            # is below deck - k
+            cand = (((low[:, 0] == right) | (low[:, 1] == right)) & m_l).nonzero()[0]
             if cand.size:
-                u = assigned_card(marked[cand], n, right[cand], left[cand])
-                ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
-                new_mark[cand[ok4]] = u[ok4]
-        do_mark = new_mark >= 0
+                room = deck - k[cand]
+                hit = (left[cand] != right[cand]) & (left[cand] - room <= room)
+                if split:
+                    # a phase-one run's low is stale
+                    hit &= in2[cand]
+                cand = cand[hit]
+                if cand.size:
+                    u = assigned_card(marked[cand], n, right[cand], left[cand])
+                    ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
+                    gets[cand[ok4]] = True
+                    gain[cand[ok4]] = u[ok4]
 
         if census is not None:
             # k and marked still hold their values from before this step
             ka = np.count_nonzero(marked[:, :n], axis=1)
             cells = census.cell(ka, k - ka)
+            do_mark = gets & ~move if live2 else gets
             rows1 = np.flatnonzero(k < threshold)
             if rows1.size:
                 np.add.at(census.phase1_steps, cells[rows1], 1)
@@ -262,45 +281,46 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             rows2 = np.flatnonzero((k >= threshold) & (k < deck))
             if rows2.size:
                 kind = np.full(batch, STAY, dtype=np.int64)
-                kind[do_mark & (new_mark >= n)] = B_UP
-                kind[do_mark & (new_mark < n)] = A_UP
-                kind[move & (free_hand < n)] = MOVE
+                kind[do_mark & (gain >= n)] = B_UP
+                kind[do_mark & (gain < n)] = A_UP
+                kind[move & (gain < n)] = MOVE
                 np.add.at(census.phase2_counts, (cells[rows2], kind[rows2]), 1)
 
-        if live2:
-            vidx = np.flatnonzero(move)
-            if vidx.size:
-                src = np.where(m_r[vidx], right[vidx], left[vidx])
-                dst = free_hand[vidx]
-                flat_marked[row_base[vidx] + src] = False
-                flat_marked[row_base[vidx] + dst] = True
-                at = low_base[vidx] + (dst >= n)
-                flat_low[at] = np.minimum(flat_low[at], dst)
-                lost = vidx[flat_low[low_base[vidx] + (src >= n)] == src]
-                if lost.size:
-                    # low of the other type is already right, so both are
-                    # recomputed; phase two keeps a mark of each type
-                    low[lost] = lowest_marked(marked[lost])
-
-        midx = np.flatnonzero(do_mark)
-        if midx.size:
-            cards = new_mark[midx]
-            flat_marked[row_base[midx] + cards] = True
-            k_now = k[midx] + 1
-            k[midx] = k_now
+        # one update serves marks and moves: the gained card is marked and,
+        # while phase two holds runs, lowers its type's low (the per-step
+        # masks are 1-d, so nonzero()[0] skips flatnonzero's ravel wrapper)
+        idx = gets.nonzero()[0]
+        cards = gain[idx]
+        if idx.size:
+            flat_marked[row_base[idx] + cards] = True
             if live2:
-                # only phase two reads low; a run entering it takes low below
-                was2 = k_now > threshold
-                at = low_base[midx[was2]] + (cards[was2] >= n)
-                flat_low[at] = np.minimum(flat_low[at], cards[was2])
-            enter = midx[k_now == threshold]
+                typ = cards // n
+                low[idx, typ] = np.minimum(low[idx, typ], cards)
+                moved = move[idx]
+                if moved.any():
+                    # a move unmarks its other hand, the marked one
+                    vidx = idx[moved]
+                    src = right[vidx] + left[vidx] - cards[moved]
+                    flat_marked[row_base[vidx] + src] = False
+                    lost = vidx[low[vidx, src // n] == src]
+                    if lost.size:
+                        # low of the other type is already right, so both are
+                        # recomputed; phase two keeps a mark of each type
+                        low[lost] = lowest_marked(marked[lost])
+                    idx = idx[~moved]
+
+        if idx.size:
+            k_now = k[idx] + 1
+            k[idx] = k_now
+            enter = idx[k_now == threshold]
             if enter.size:
+                # a run entering phase two takes low from its marked set
                 out_tp1[orig[enter]] = t
                 low[enter] = lowest_marked(marked[enter])
                 live2 += enter.size
             if out_times is not None:
-                out_times[orig[midx], k_now.astype(np.int64)] = t
-            fin = midx[k_now == deck]
+                out_times[orig[idx], k_now.astype(np.int64)] = t
+            fin = idx[k_now == deck]
             if fin.size:
                 out_tfull[orig[fin]] = t
                 out_decks[orig[fin][:, None], pos_of[fin]] = labels

@@ -171,26 +171,34 @@ def simulate_absorption(n: int, a: float, start: tuple[int, int],
     """Monte Carlo absorption step counts via the jump chain.
 
     Sojourn lengths are geometric with the state's total move probability, so
-    each trajectory needs at most 2n draws.  Deterministic for (seed, trials).
+    each trajectory needs at most 2n draws.  The live trajectories stay
+    compacted, each with its trial index, and a trajectory's step count is
+    written out when it reaches (n, n).  Deterministic for (seed, trials).
     """
     ka0, kb0 = start
     _check_state(n, a, ka0, kb0)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = stream_rng(seed, STREAM_TYPECHAIN)
-    ka = np.full(trials, ka0, dtype=np.int64)
-    kb = np.full(trials, kb0, dtype=np.int64)
-    steps = np.zeros(trials, dtype=np.int64)
-    active = np.flatnonzero((ka < n) | (kb < n))
-    while active.size:
-        p_b, p_a, p_m = _jump_law(n, a, ka[active], kb[active])
+    out = np.zeros(trials, dtype=np.int64)
+    trial = np.arange(trials if ka0 + kb0 < 2 * n else 0)
+    ka = np.full(trial.size, ka0, dtype=np.int64)
+    kb = np.full(trial.size, kb0, dtype=np.int64)
+    steps = np.zeros(trial.size, dtype=np.int64)
+    while trial.size:
+        p_b, p_a, p_m = _jump_law(n, a, ka, kb)
         q = p_b + p_a + p_m
-        steps[active] += rng.geometric(q)
-        u = rng.random(active.size) * q
+        steps += rng.geometric(q)
+        u = rng.random(trial.size) * q
         go_b = u < p_b
         go_a = ~go_b & (u < p_b + p_a)
         go_m = ~go_b & ~go_a
-        kb[active] += go_b.astype(np.int64) - go_m.astype(np.int64)
-        ka[active] += (go_a | go_m).astype(np.int64)
-        active = active[(ka[active] < n) | (kb[active] < n)]
-    return steps
+        kb += go_b
+        kb -= go_m
+        ka += go_a | go_m
+        done = ka + kb == 2 * n
+        if done.any():
+            out[trial[done]] = steps[done]
+            live = ~done
+            trial, ka, kb, steps = trial[live], ka[live], kb[live], steps[live]
+    return out

@@ -22,7 +22,9 @@ that once held the first-k snapshot, so ``deck4-first-k``, which recorded
 it, now equals the old run hashed with ``None`` there.  The two 200-run
 deck-256 digests pin the engine at the batch size of the ``marking-deck256``
 benchmark workload; they were taken before the pair lookup was limited by
-its rank bound.  So a
+its rank bound.  The ``deck32-split-steps`` digest and the
+``uniform_fixed_pmf`` digests were taken before marks and moves shared one
+update and before the fixed-point law stopped at its underflow.  So a
 change that alters a random draw, its order, any marking decision or any
 floating-point operation order shows up here even when every statistical
 check still passes.  Update a digest only for a change that is meant to
@@ -35,7 +37,7 @@ import pytest
 
 from _helpers import run_to_full_marking
 from biased_shuffle import chain_core
-from biased_shuffle.bounds import simulate_walks
+from biased_shuffle.bounds import simulate_walks, uniform_fixed_pmf
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
 from biased_shuffle.marking import MarkingCensus, bulk_marking_runs
@@ -114,6 +116,11 @@ BULK = {
         dict(n=5, a=0.5, c1=0.6, trials=400, seed=13, always_mark=True,
              record_mark_times=True),
         "870ec9889db783e7d760fc0bf6583a6273cddba45ec5cce68241bee60a45be14"),
+    # most steps hold runs of both phases, and those steps move marks, lose
+    # and recompute a type's lowest mark and hit assigned pairs
+    "deck32-split-steps": (
+        dict(n=16, a=0.25, c1=0.6, trials=500, seed=4246, record_mark_times=True),
+        "91753af4fcd6962350ceb9f76186f60f1d94fceb4db851c560899a26be4accd2"),
 }
 
 SCALAR = {
@@ -156,6 +163,12 @@ ABSORPTION = {
     "n7-a0.3-origin": (
         dict(n=7, a=0.3, start=(0, 0), trials=4000, seed=4242),
         "7df5fed094038750bb5648f2b31b37a8f234a8f418c272ae2e4067ef0ae70ece"),
+}
+
+# n: uniform_fixed_pmf(n), large enough that the tail masses underflow to 0.0
+FIXED_PMF = {
+    512: "fb8785673b6e19e1b3dbb07ab282ed924a1147fdba83360a94ab47bddc970adf",
+    2048: "e1d8fe464a916165b5e1e845e4a468b7d982ee4195462b1ebdce3c16325a6201",
 }
 
 # (n, a): (expected_absorption, absorption_bound_table)
@@ -297,6 +310,11 @@ def test_absorption_bytes(name):
 def test_type_chain_table_bytes(n, a):
     got = (_digest(expected_absorption(n, a)), _digest(absorption_bound_table(n, a)))
     assert got == TABLES[n, a]
+
+
+@pytest.mark.parametrize("n", sorted(FIXED_PMF))
+def test_uniform_fixed_pmf_bytes(n):
+    assert _digest(uniform_fixed_pmf(n)) == FIXED_PMF[n]
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_CLI))
