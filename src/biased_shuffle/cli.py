@@ -154,7 +154,7 @@ def cmd_marking(ns) -> int:
 
 def cmd_typechain(ns) -> int:
     n, a = ns.n, ns.a
-    type_chain._check_c1(ns.c1)
+    type_chain.check_c1(ns.c1)
     if ns.mode == "rows":
         rows = []
         for ka in range(n + 1):

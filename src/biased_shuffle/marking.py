@@ -35,7 +35,7 @@ rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .exact_analysis import encode_many
 
 def mark_threshold(deck: int, c1: float) -> int:
     """First marked count that belongs to phase two: ceil(c1 * deck)."""
-    type_chain._check_c1(c1)
+    type_chain.check_c1(c1)
     return math.ceil(c1 * deck - 1e-9)
 
 
@@ -114,29 +114,6 @@ def default_step_cap(deck: int) -> int:
 # Batched engine
 # --------------------------------------------------------------------------
 
-B_UP, A_UP, MOVE, STAY = 0, 1, 2, 3
-
-
-@dataclass
-class MarkingCensus:
-    """Per-cell step statistics accumulated across batched runs."""
-
-    n: int
-    phase1_steps: np.ndarray = field(init=False)
-    phase1_marks: np.ndarray = field(init=False)
-    phase2_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        cells = (self.n + 1) * (self.n + 1)
-        self.phase1_steps = np.zeros(cells, dtype=np.int64)
-        self.phase1_marks = np.zeros(cells, dtype=np.int64)
-        self.phase2_counts = np.zeros((cells, 4), dtype=np.int64)
-
-    def cell(self, ka, kb):
-        """Flat cell index of (ka, kb), for ints or arrays."""
-        return ka * (self.n + 1) + kb
-
-
 @dataclass
 class BulkMarkingResult:
     decks: np.ndarray          # (trials, N) final card_at rows
@@ -148,7 +125,7 @@ class BulkMarkingResult:
 def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
-                      census: MarkingCensus | None = None) -> BulkMarkingResult:
+                      census=None) -> BulkMarkingResult:
     """Run many marking trajectories in one vectorised sweep.
 
     Each run keeps only what the law reads: ``pos_of`` (the position of
@@ -164,8 +141,12 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     then a move unmarks its source and a mark bumps ``k``.  A pair draw can
     hit an assigned card only when the right hand holds ``low`` of its type
     and the left hand is marked and at most 2 (deck - k), the rank bound of
-    :func:`assigned_card`, so the lookup runs on those few rows alone.  The
-    census derives each run's type-A count from the marked set.
+    :func:`assigned_card`, so the lookup runs on those few rows alone.
+
+    A ``census`` sees only the chain's state: after each step's marks and
+    moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
+    with the marked count and marked type-A count of every uncompacted row
+    (finished ones included) before and after the step.
     """
     n = profile.n
     deck = profile.deck_size
@@ -268,23 +249,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     gain[cand[ok4]] = u[ok4]
 
         if census is not None:
-            # k and marked still hold their values from before this step
-            ka = np.count_nonzero(marked[:, :n], axis=1)
-            cells = census.cell(ka, k - ka)
-            do_mark = gets & ~move if live2 else gets
-            rows1 = np.flatnonzero(k < threshold)
-            if rows1.size:
-                np.add.at(census.phase1_steps, cells[rows1], 1)
-                marked1 = do_mark[rows1]
-                if marked1.any():
-                    np.add.at(census.phase1_marks, cells[rows1[marked1]], 1)
-            rows2 = np.flatnonzero((k >= threshold) & (k < deck))
-            if rows2.size:
-                kind = np.full(batch, STAY, dtype=np.int64)
-                kind[do_mark & (gain >= n)] = B_UP
-                kind[do_mark & (gain < n)] = A_UP
-                kind[move & (gain < n)] = MOVE
-                np.add.at(census.phase2_counts, (cells[rows2], kind[rows2]), 1)
+            k0 = k.copy()
+            ka0 = np.count_nonzero(marked[:, :n], axis=1)
 
         # one update serves marks and moves: the gained card is marked and,
         # while phase two holds runs, lowers its type's low (the per-step
@@ -325,6 +291,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 out_tfull[orig[fin]] = t
                 out_decks[orig[fin][:, None], pos_of[fin]] = labels
                 done += fin.size
+
+        if census is not None:
+            census.record(threshold, k0, ka0, k, np.count_nonzero(marked[:, :n], axis=1))
 
         # done changes only on steps where a run finished
         if done * 8 >= batch:

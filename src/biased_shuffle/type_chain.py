@@ -33,7 +33,7 @@ def _check_state(n: int, a: float, ka: int, kb: int) -> None:
         raise ValueError(f"(ka, kb) = ({ka}, {kb}) outside the 0..{n} grid")
 
 
-def _check_c1(c1: float) -> None:
+def check_c1(c1: float) -> None:
     if not 0.5 < c1 < 1.0:
         raise ValueError("c1 must lie strictly between 1/2 and 1")
 
@@ -108,7 +108,7 @@ def absorption_bound_table(n: int, a: float) -> np.ndarray:
 def phase2_time_scale(n: int, a: float, c1: float) -> float:
     """Prefactor n / (a (2 c1 - 1)) restoring step units to the bound table."""
     check_bias(a)
-    _check_c1(c1)
+    check_c1(c1)
     return n / (a * (2.0 * c1 - 1.0))
 
 
@@ -120,16 +120,14 @@ def harmonic_probe(n: int, c1: float, a: float) -> dict:
     """Binomially weighted start average of the bound table vs a harmonic sum.
 
     Starts sit on the diagonal ka + kb = 2 n c1 with weights
-    C(d, n - ka) 2^-d where d = 2 n (1 - c1) must be a small integer.  The
+    C(d, n - ka) 2^-d where d = 2 n (1 - c1) < n must be an integer.  The
     probe only reports the comparison with H(d); nothing is asserted.
     """
-    _check_c1(c1)
+    check_c1(c1)
     d_real = 2 * n * (1.0 - c1)
     d = round(d_real)
     if abs(d_real - d) > 1e-9 or d < 1:
         raise ValueError("2 n (1 - c1) must be a positive integer for the probe")
-    if d > n:
-        raise ValueError("diagonal leaves the grid; pick c1 with 2n(1-c1) <= n")
     table = absorption_bound_table(n, a)
     k = 2 * n - d
     weighted = 0.0
@@ -151,7 +149,7 @@ def harmonic_probe(n: int, c1: float, a: float) -> dict:
 def variance_bound(n: int, a: float, c1: float) -> float:
     """Bound (pi^2 / 6) N^2 / (a^4 c1^2) on Var of the phase-two duration."""
     check_bias(a)
-    _check_c1(c1)
+    check_c1(c1)
     deck = 2 * n
     return (math.pi ** 2 / 6.0) * deck * deck / (a ** 4 * c1 ** 2)
 
@@ -159,7 +157,7 @@ def variance_bound(n: int, a: float, c1: float) -> float:
 def phase2_upper_bound(n: int, a: float, c1: float, const_term: float = 4.0) -> float:
     """Bound (n / (a (2c1 - 1))) (log 2n + log log 2n + const) on the mean
     phase-two duration."""
-    _check_c1(c1)
+    check_c1(c1)
     deck = 2 * n
     if deck < 3:
         raise ValueError("bound needs 2n >= 3 for the log log term")

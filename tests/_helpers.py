@@ -348,6 +348,59 @@ def run_to_full_marking(profile: BiasProfile, c1: float, rng: np.random.Generato
     )
 
 
+B_UP, A_UP, MOVE, STAY = 0, 1, 2, 3
+
+# a phase-two step's kind by its (d ka, d k): the type-count chain's jumps
+# (ka, kb) -> (ka, kb), (ka, kb + 1), (ka + 1, kb - 1) and (ka + 1, kb)
+PHASE2_KIND = np.array([[STAY, B_UP], [MOVE, A_UP]])
+
+
+@dataclass
+class MarkingCensus:
+    """Per-cell step statistics of batched marking runs, from (k, ka) alone.
+
+    Passed to ``bulk_marking_runs(..., census=...)``, it is told each row's
+    marked count k and marked type-A count ka before and after every step.
+    A phase-one step (k < threshold) counts in ``phase1_steps`` and, when k
+    rises, in ``phase1_marks``; a phase-two step of an unfinished run counts
+    under its jump in ``phase2_counts``.  Cells are flat (ka, kb) indices.
+    Every step must be a legal jump: d k in {0, 1} in phase one, d ka and
+    d k both in {0, 1} in phase two; anything else raises AssertionError.
+    """
+
+    n: int
+    phase1_steps: np.ndarray = field(init=False)
+    phase1_marks: np.ndarray = field(init=False)
+    phase2_counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        cells = (self.n + 1) * (self.n + 1)
+        self.phase1_steps = np.zeros(cells, dtype=np.int64)
+        self.phase1_marks = np.zeros(cells, dtype=np.int64)
+        self.phase2_counts = np.zeros((cells, 4), dtype=np.int64)
+
+    def cell(self, ka, kb):
+        """Flat cell index of (ka, kb), for ints or arrays."""
+        return ka * (self.n + 1) + kb
+
+    def record(self, threshold: int, k0, ka0, k1, ka1) -> None:
+        dk, dka = k1 - k0, ka1 - ka0
+        cells = self.cell(ka0, k0 - ka0)
+        one = k0 < threshold
+        two = ~one & (k0 < 2 * self.n)
+        dk_ok = (dk == 0) | (dk == 1)
+        if not dk_ok[one].all():
+            raise AssertionError("a phase-one step changed k by other than 0 or 1")
+        if not (dk_ok & ((dka == 0) | (dka == 1)))[two].all():
+            raise AssertionError("a phase-two step made no jump of the type-count chain")
+        size = self.phase1_steps.size
+        self.phase1_steps += np.bincount(cells[one], minlength=size)
+        self.phase1_marks += np.bincount(cells[one & (dk == 1)], minlength=size)
+        kind = PHASE2_KIND[dka[two], dk[two]]
+        self.phase2_counts += np.bincount(cells[two] * 4 + kind,
+                                          minlength=4 * size).reshape(size, 4)
+
+
 class _FixedCoin:
     """Stand-in rng whose random() returns a preset value."""
 

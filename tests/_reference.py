@@ -24,7 +24,7 @@ from biased_shuffle.marking import (
     pair_rule,
     phase1_rule,
 )
-from biased_shuffle.type_chain import _check_c1
+from biased_shuffle.type_chain import check_c1
 
 
 def probability(rule) -> float:
@@ -344,5 +344,5 @@ def sample_touch_picks(n: int, a: float, threshold: int, trials: int,
 def rate_mark_a_floor(n: int, a: float, c1: float, ka: int) -> float:
     """Lower bound a (n - ka) (2 c1 - 1) / n, valid once ka + kb >= 2 n c1."""
     check_bias(a)
-    _check_c1(c1)
+    check_c1(c1)
     return a * (n - ka) * (2.0 * c1 - 1.0) / n

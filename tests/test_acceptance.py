@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import record_criterion
-from _helpers import evolve, lehmer_operator
+from _helpers import MarkingCensus, evolve, lehmer_operator
 from _reference import (
     dense_transition_matrix,
     derangement_count,
@@ -94,7 +94,7 @@ def test_criterion_4_full_marking_uniformity():
 
 def test_criterion_5_phase_one_rate_and_split_independence():
     profile = make_bias_profile(3, 0.5)
-    census = marking.MarkingCensus(n=3)
+    census = MarkingCensus(n=3)
     marking.bulk_marking_runs(profile, 0.9, 30_000, seed=SEED, census=census)
     worst_z = 0.0
     min_homog = 1.0
@@ -120,7 +120,7 @@ def test_criterion_5_phase_one_rate_and_split_independence():
 
 
 def test_criterion_6_type_chain_rows_and_absorption():
-    census = marking.MarkingCensus(n=4)
+    census = MarkingCensus(n=4)
     marking.bulk_marking_runs(make_bias_profile(4, 0.5), 0.75, 20_000,
                               seed=SEED, census=census)
     worst_z = 0.0

@@ -290,6 +290,10 @@ class TestDistances:
         assert rows[-1][1] == pytest.approx(tv_distance(d, op.sizes), abs=1e-14)
         assert rows[-1][2] == pytest.approx(separation_distance(d, op.sizes), abs=1e-14)
 
+    def test_cutoff_profile_rejects_negative_t(self):
+        with pytest.raises(ValueError):
+            cutoff_profile(build_operator(make_bias_profile(2, 0.5)), [-1])
+
 
 class TestScan:
     def test_rows_match_direct_evolution(self):

@@ -11,6 +11,11 @@ from scipy import stats
 
 import _helpers
 from _helpers import (
+    A_UP,
+    B_UP,
+    MOVE,
+    STAY,
+    MarkingCensus,
     MarkingState,
     factorization_check,
     phase1_path_distribution,
@@ -22,11 +27,6 @@ from _reference import build_assignment, full_scheme_dp, probability
 from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
-    A_UP,
-    B_UP,
-    MOVE,
-    STAY,
-    MarkingCensus,
     _chisquare,
     assigned_card,
     bulk_marking_runs,
@@ -244,6 +244,12 @@ class TestScalarEngine:
             run_to_full_marking(H4, 0.6, rng)
 
 
+@pytest.fixture(scope="module")
+def biased_dp():
+    """The deck-4 exact law at a = 0.5, c1 = 0.6, computed once for the module."""
+    return full_scheme_dp(0.5, 0.6)
+
+
 class TestExactLawOracles:
     """Frozen values from an independent dynamic program over (deck, marked).
 
@@ -259,16 +265,14 @@ class TestExactLawOracles:
         assert sum(dp.values()) == pytest.approx(1.0, abs=1e-9)
         assert max(abs(p - 1 / 24) for p in dp.values()) < 1e-10
 
-    def test_biased_scheme_deviation_window(self):
-        dp = full_scheme_dp(0.5, 0.6)
-        assert sum(dp.values()) == pytest.approx(1.0, abs=1e-9)
-        dev = max(abs(p - 1 / 24) for p in dp.values())
+    def test_biased_scheme_deviation_window(self, biased_dp):
+        assert sum(biased_dp.values()) == pytest.approx(1.0, abs=1e-9)
+        dev = max(abs(p - 1 / 24) for p in biased_dp.values())
         assert 5e-5 < dev < 3e-4
 
-    def test_bulk_engine_matches_exact_law(self):
-        dp = full_scheme_dp(0.5, 0.6)
+    def test_bulk_engine_matches_exact_law(self, biased_dp):
         probs = np.zeros(24)
-        for perm, p in dp.items():
+        for perm, p in biased_dp.items():
             probs[encode_many(np.array([perm]))[0]] = p
         probs /= probs.sum()
         res = bulk_marking_runs(H4, 0.6, 50_000, seed=101)

@@ -116,3 +116,47 @@ def test_every_package_name_is_read_by_the_package_or_the_benchmark():
 
 def test_allowlist_holds_only_unread_names():
     assert READ_BY_TESTS_ONLY <= package_unread_names()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def sibling_private_reads(source: str) -> set[str]:
+    """Underscore names a package module takes from another package module.
+
+    Counts ``from .m import _x`` and ``m._x`` where ``m`` was bound by
+    ``from . import m``; the absolute ``biased_shuffle`` spellings count too.
+    """
+    tree = ast.parse(source)
+    siblings, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "biased_shuffle"):
+            own = node.module in (None, "biased_shuffle")
+            for alias in node.names:
+                if own:
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reads.add(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            reads.add(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_checker_flags_sibling_private_reads():
+    assert sibling_private_reads("from . import type_chain\ntype_chain._check(1)") == {
+        "type_chain._check"}
+    assert sibling_private_reads("from .marking import _chisquare, mark_threshold") == {
+        "marking._chisquare"}
+    assert sibling_private_reads("from biased_shuffle import marking as m\nm._x") == {"m._x"}
+    assert sibling_private_reads("import numpy as np\n_y = 1\nnp._z\n_y") == set()
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    reads = {(path.name, name)
+             for path in sorted((ROOT / "src" / "biased_shuffle").glob("*.py"))
+             for name in sibling_private_reads(path.read_text())}
+    assert reads == set()

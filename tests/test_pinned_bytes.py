@@ -35,12 +35,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from _helpers import run_to_full_marking
+from _helpers import MarkingCensus, run_to_full_marking
 from biased_shuffle import chain_core
 from biased_shuffle.bounds import simulate_walks, uniform_fixed_pmf
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
-from biased_shuffle.marking import MarkingCensus, bulk_marking_runs
+from biased_shuffle.marking import bulk_marking_runs
 from biased_shuffle.type_chain import (
     absorption_bound_table,
     expected_absorption,
