@@ -67,12 +67,6 @@ class BiasProfile:
     def deck_size(self) -> int:
         return 2 * self.n
 
-    def weight(self, card: int) -> float:
-        """Unnormalised hand weight of a card label."""
-        if not 0 <= card < self.deck_size:
-            raise ValueError(f"card label {card} out of range 0..{self.deck_size - 1}")
-        return self.a if card < self.n else self.b
-
     def weights(self) -> np.ndarray:
         """Vector of hand weights indexed by card label."""
         w = np.full(self.deck_size, self.b)

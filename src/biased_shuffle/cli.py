@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import nullcontext
 
@@ -44,8 +45,11 @@ from .exact_analysis import (
 
 
 def _list(value: str, cast) -> list:
-    """The items of a comma-separated string, each through ``cast``."""
-    return [cast(part) for part in value.split(",") if part.strip()]
+    """The items of a comma-separated string, each through ``cast``; at least one."""
+    items = [cast(part) for part in value.split(",") if part.strip()]
+    if not items:
+        raise ValueError(f"no items in the list {value!r}")
+    return items
 
 
 def _profile_from(ns) -> "BiasProfile":
@@ -154,6 +158,8 @@ def cmd_marking(ns) -> int:
 
 def cmd_typechain(ns) -> int:
     n, a = ns.n, ns.a
+    if n < 1:
+        raise ValueError("n must be positive")
     type_chain.check_c1(ns.c1)
     if ns.mode == "rows":
         rows = []
@@ -184,8 +190,11 @@ def cmd_lowerbound(ns) -> int:
     if ns.t_list is not None:
         ts = _list(ns.t_list, int)
     else:
+        multiples = _list(ns.multiples, float)
+        if not all(0 < m < math.inf for m in multiples):
+            raise ValueError("multiples must be positive and finite")
         star = theory_time(profile)
-        ts = sorted({max(1, round(m * star)) for m in _list(ns.multiples, float)})
+        ts = sorted({max(1, round(m * star)) for m in multiples})
     rows = bounds.lower_bound_sweep(profile, ts, threshold, ns.trials, ns.seed)
     _emit(ns, ("t", "threshold", "estimate", "stderr", "uniform_mass", "bound"),
           rows, result={"theory_time": theory_time(profile)})

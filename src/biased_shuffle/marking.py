@@ -24,13 +24,12 @@ share :func:`mixed_rule`.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
 trajectories as numpy rows.  It keeps per run only what the law reads: card
-positions, the marked set, the marked count and the lowest marked card of
-each type.  It derives the phase from the marked count and writes a run's
-deck once, when the run finishes.  It draws from a single stream derived
-from (seed, tag), so its output is a deterministic function of (seed,
-trials).  The tests check it against a scalar per-trajectory engine and an
-exact dynamic program over (deck, marked set), both built on the same
-rules.
+positions, the marked set and the marked count.  It derives the phase from
+the marked count and writes a run's deck once, when the run finishes.  It
+draws from a single stream derived from (seed, tag), so its output is a
+deterministic function of (seed, trials).  The tests check it against a
+scalar per-trajectory engine and an exact dynamic program over (deck,
+marked set), both built on the same rules.
 """
 from __future__ import annotations
 
@@ -129,19 +128,18 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     """Run many marking trajectories in one vectorised sweep.
 
     Each run keeps only what the law reads: ``pos_of`` (the position of
-    every card), the marked set, the marked count ``k`` and ``low``, the
-    lowest marked label of each type.  ``low`` is current only for
-    phase-two runs: it is computed from the marked set at phase entry and
-    kept by every later event, while a phase-one run's ``low`` is stale and
-    masked out.  Marks only add to ``k``, so a run is in phase two exactly
-    while ``k >= threshold``, and a run's deck is written once, as the
-    inverse of its ``pos_of`` row, when it finishes.  Marks and moves share
-    one update: each run yields the card it gains this step, by a new mark
-    or a moved one, and one scatter marks them all and lowers ``low``;
-    then a move unmarks its source and a mark bumps ``k``.  A pair draw can
-    hit an assigned card only when the right hand holds ``low`` of its type
-    and the left hand is marked and at most 2 (deck - k), the rank bound of
-    :func:`assigned_card`, so the lookup runs on those few rows alone.
+    every card), the marked set and the marked count ``k``.  Marks only add
+    to ``k``, so a run is in phase two exactly while ``k >= threshold``, and
+    a run's deck is written once, as the inverse of its ``pos_of`` row, when
+    it finishes.  Marks and moves share one update: each run yields the card
+    it gains this step, by a new mark or a moved one, and one scatter marks
+    them all; then a move unmarks its source and a mark bumps ``k``.  A pair
+    draw (R, L) can hit an assigned card only when L is marked and at most
+    2 (deck - k), the rank bound of :func:`assigned_card`, and R is marked,
+    other than L and the lowest mark of its type, so that every label of its
+    type below it is unmarked and its index within the type is at most
+    deck - k.  The step narrows the batch by those tests, cheapest first,
+    and looks up the few rows left.
 
     A ``census`` sees only the chain's state: after each step's marks and
     moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
@@ -161,7 +159,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     pos_of = np.tile(labels, (trials, 1))
     marked = np.zeros((trials, deck), dtype=bool)
     k = np.zeros(trials, dtype=np.int16)
-    low = np.full((trials, 2), deck, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
     # pos_of and marked stay C-contiguous through compaction: card c of run i
     # sits at flat offset i * deck + c of both
@@ -179,10 +176,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     def coin(u, rule):
         num, den = rule
         return u * den < num
-
-    def lowest_marked(rows_marked):
-        """Lowest marked label of each type in each row, ``deck`` where none is."""
-        return np.where(rows_marked.reshape(-1, 2, n), labels.reshape(2, n), deck).min(axis=2)
 
     t = 0
     while pos_of.shape[0]:
@@ -231,17 +224,20 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             gets = mixed | (solo & ok)
             if split:
                 gets |= acc1
-            # only a right hand on its type's low can hit, and only if the left
-            # hand is marked and its marked rank, at least left - (deck - k),
-            # is below deck - k
-            cand = (((low[:, 0] == right) | (low[:, 1] == right)) & m_l).nonzero()[0]
+            # a pair can hit only if L is marked with L - (deck - k) <= deck - k
+            # and R is marked, other than L, at index at most deck - k within
+            # its type and below every other mark of its type
+            room = deck - k
+            cand = (m_l & (left - room <= room)).nonzero()[0]
             if cand.size:
-                room = deck - k[cand]
-                hit = (left[cand] != right[cand]) & (left[cand] - room <= room)
+                r = right[cand]
+                hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
                 if split:
-                    # a phase-one run's low is stale
                     hit &= in2[cand]
-                cand = cand[hit]
+                cand, r = cand[hit], r[hit]
+                if cand.size:
+                    below = (labels < r[:, None]) & (labels >= (r - r % n)[:, None])
+                    cand = cand[~(marked[cand] & below).any(axis=1)]
                 if cand.size:
                     u = assigned_card(marked[cand], n, right[cand], left[cand])
                     ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
@@ -252,27 +248,20 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             k0 = k.copy()
             ka0 = np.count_nonzero(marked[:, :n], axis=1)
 
-        # one update serves marks and moves: the gained card is marked and,
-        # while phase two holds runs, lowers its type's low (the per-step
-        # masks are 1-d, so nonzero()[0] skips flatnonzero's ravel wrapper)
+        # one update serves marks and moves: the gained card is marked (the
+        # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
+        # wrapper)
         idx = gets.nonzero()[0]
         cards = gain[idx]
         if idx.size:
             flat_marked[row_base[idx] + cards] = True
             if live2:
-                typ = cards // n
-                low[idx, typ] = np.minimum(low[idx, typ], cards)
                 moved = move[idx]
                 if moved.any():
                     # a move unmarks its other hand, the marked one
                     vidx = idx[moved]
                     src = right[vidx] + left[vidx] - cards[moved]
                     flat_marked[row_base[vidx] + src] = False
-                    lost = vidx[low[vidx, src // n] == src]
-                    if lost.size:
-                        # low of the other type is already right, so both are
-                        # recomputed; phase two keeps a mark of each type
-                        low[lost] = lowest_marked(marked[lost])
                     idx = idx[~moved]
 
         if idx.size:
@@ -280,9 +269,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             k[idx] = k_now
             enter = idx[k_now == threshold]
             if enter.size:
-                # a run entering phase two takes low from its marked set
                 out_tp1[orig[enter]] = t
-                low[enter] = lowest_marked(marked[enter])
                 live2 += enter.size
             if out_times is not None:
                 out_times[orig[idx], k_now.astype(np.int64)] = t
@@ -301,7 +288,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             pos_of = pos_of[keep]
             marked = marked[keep]
             k = k[keep]
-            low = low[keep]
             orig = orig[keep]
             live2, done = live2 - done, 0
 

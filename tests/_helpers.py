@@ -241,9 +241,9 @@ class MarkingState:
 def phase1_step(ms: MarkingState, right: int, left: int,
                 rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase one."""
-    a, w = ms.profile.a, ms.profile.weight
+    a, w = ms.profile.a, ms.profile.weights().tolist()
     if (not ms.marked[right] and not ms.marked[left]
-            and ms._accept(phase1_rule(a, w(right), w(left)), rng)):
+            and ms._accept(phase1_rule(a, w[right], w[left]), rng)):
         slot = ms.k
         r_slot = ms.phi_inv[right]
         l_slot = ms.phi_inv[left]
@@ -261,27 +261,27 @@ def phase1_step(ms: MarkingState, right: int, left: int,
 def phase2_step(ms: MarkingState, right: int, left: int,
                 rng: np.random.Generator) -> None:
     """Marking decision for an applied move while in phase two."""
-    a, w = ms.profile.a, ms.profile.weight
+    a, w = ms.profile.a, ms.profile.weights().tolist()
     m_right, m_left = ms.marked[right], ms.marked[left]
     if right == left:
-        if not m_right and ms._accept(mixed_rule(a, w(right)), rng):
+        if not m_right and ms._accept(mixed_rule(a, w[right]), rng):
             ms._mark_phase2(right, left, right)
         return
     if not m_right and m_left:
-        if ms._accept(mixed_rule(a, w(left)), rng):
+        if ms._accept(mixed_rule(a, w[left]), rng):
             ms._mark_phase2(right, left, right)
         else:
             ms._move_mark(right, left, src=left, dst=right)
         return
     if m_right and not m_left:
-        if ms._accept(mixed_rule(a, w(right)), rng):
+        if ms._accept(mixed_rule(a, w[right]), rng):
             ms._mark_phase2(right, left, left)
         else:
             ms._move_mark(right, left, src=right, dst=left)
         return
     if m_right and m_left:
         u = int(assigned_card(ms.marked, ms.profile.n, right, left))
-        if u >= 0 and ms._accept(pair_rule(a, w(u), w(right), w(left)), rng):
+        if u >= 0 and ms._accept(pair_rule(a, w[u], w[right], w[left]), rng):
             ms._mark_phase2(right, left, u)
         else:
             ms._move_update(right, left)
@@ -421,7 +421,7 @@ def phase1_path_distribution(a: float, steps: int, deck: int = 4):
     n = deck // 2
     profile = make_bias_profile(n, a)
     probs = [hand_probability(profile, c) for c in range(deck)]
-    w = profile.weight
+    w = profile.weights().tolist()
     dist: dict[tuple, float] = defaultdict(float)
 
     def rec(ms: MarkingState, depth: int, mass: float) -> None:
@@ -435,7 +435,7 @@ def phase1_path_distribution(a: float, steps: int, deck: int = 4):
             for l in range(deck):
                 base = mass * probs[r] * probs[l]
                 if not ms.marked[r] and not ms.marked[l]:
-                    acc = probability(phase1_rule(a, w(r), w(l)))
+                    acc = probability(phase1_rule(a, w[r], w[l]))
                     branches = [(acc, 0.0), (1.0 - acc, 1.0 - 1e-12)]
                 else:
                     branches = [(1.0, 0.5)]

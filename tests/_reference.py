@@ -35,7 +35,7 @@ def probability(rule) -> float:
 
 def hand_probability(profile, card: int) -> float:
     """Probability that one hand picks ``card``: its weight over the deck size."""
-    return profile.weight(card) / profile.deck_size
+    return (profile.a if card < profile.n else profile.b) / profile.deck_size
 
 
 @dataclass
@@ -240,7 +240,7 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
     n = deck // 2
     profile = make_bias_profile(n, a)
     probs = [hand_probability(profile, c) for c in range(deck)]
-    w = profile.weight
+    w = [profile.a if c < n else profile.b for c in range(deck)]
     threshold = mark_threshold(deck, c1)
     cache: dict[frozenset, dict] = {}
 
@@ -277,30 +277,30 @@ def full_scheme_dp(a: float, c1: float, deck: int = 4, tol: float = 1e-12):
 
                     if not phase2:
                         if not m_r and not m_l:
-                            acc = probability(phase1_rule(a, w(r), w(l)))
+                            acc = probability(phase1_rule(a, w[r], w[l]))
                             put(marked | {r}, acc)
                             put(marked, 1.0 - acc)
                         else:
                             put(marked, 1.0)
                     elif r == l:
                         if not m_r:
-                            acc = probability(mixed_rule(a, w(r)))
+                            acc = probability(mixed_rule(a, w[r]))
                             put(marked | {r}, acc)
                             put(marked, 1.0 - acc)
                         else:
                             put(marked, 1.0)
                     elif not m_r and m_l:
-                        acc = probability(mixed_rule(a, w(l)))
+                        acc = probability(mixed_rule(a, w[l]))
                         put(marked | {r}, acc)
                         put((marked - {l}) | {r}, 1.0 - acc)
                     elif m_r and not m_l:
-                        acc = probability(mixed_rule(a, w(r)))
+                        acc = probability(mixed_rule(a, w[r]))
                         put(marked | {l}, acc)
                         put((marked - {r}) | {l}, 1.0 - acc)
                     elif m_r and m_l:
                         u = pair_map(marked).get((r, l))
                         if u is not None:
-                            acc = probability(pair_rule(a, w(u), w(r), w(l)))
+                            acc = probability(pair_rule(a, w[u], w[r], w[l]))
                             put(marked | {u}, acc)
                             put(marked, 1.0 - acc)
                         else:

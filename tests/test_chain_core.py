@@ -42,8 +42,8 @@ class TestBiasProfile:
 
     def test_type_split(self):
         p = make_bias_profile(3, 0.7)
-        assert p.weight(2) == pytest.approx(0.7)
-        assert p.weight(3) == pytest.approx(1.3)
+        assert p.weights()[2] == pytest.approx(0.7)
+        assert p.weights()[3] == pytest.approx(1.3)
 
     @pytest.mark.parametrize("n,a", [(0, 0.5), (-1, 0.5), (2, 0.0),
                                      (2, -0.1), (2, 1.5)])
@@ -57,13 +57,6 @@ class TestBiasProfile:
         largest = make_bias_profile(16_383, 0.5)
         u = np.array([0.0, 0.2499, 0.25, np.nextafter(1.0, 0.0)])
         assert hands_from_uniforms(largest, u).tolist() == [0, 16_376, 16_383, 32_765]
-
-    def test_weight_out_of_range(self):
-        p = make_bias_profile(2, 0.5)
-        with pytest.raises(ValueError):
-            p.weight(4)
-        with pytest.raises(ValueError):
-            p.weight(-1)
 
     def test_hand_probabilities_sum_to_one(self):
         for a in (0.25, 0.5, 1.0):

@@ -304,6 +304,31 @@ class TestExitCodes:
             out = capsys.readouterr()
             assert out.out == "" and "c1 must lie strictly between" in out.err
 
+    @pytest.mark.parametrize("mode", ["rows", "absorption", "bound"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_typechain_checks_n_in_every_mode(self, capsys, mode, n):
+        assert main(["typechain", "--n", n, "--mode", mode]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "n must be positive" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["lowerbound", "--deck", "4", "--trials", "10", "--t-list", ","],
+        ["lowerbound", "--deck", "4", "--trials", "10", "--multiples", ","],
+        ["conjecture", "--n-list", ","],
+        ["conjecture", "--c1-list", ", ,"],
+    ])
+    def test_empty_lists_are_refused(self, capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "no items in the list" in out.err
+
+    @pytest.mark.parametrize("multiples", ["-1", "0", "nan", "inf", "0.5,-0.25"])
+    def test_lowerbound_refuses_nonpositive_multiples(self, capsys, multiples):
+        assert main(["lowerbound", "--deck", "4", "--trials", "10",
+                     "--multiples", multiples]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "multiples must be positive and finite" in out.err
+
     def test_gaps_refuse_always_mark(self, capsys):
         # the gap report flips its coins, so the flag would be recorded and ignored
         assert main(["marking", "--mode", "gaps", "--deck", "10", "--c1", "0.6",

@@ -47,16 +47,17 @@ U4 = make_bias_profile(2, 1.0)
 
 
 def phase1_p(profile, r, l):
-    return probability(phase1_rule(profile.a, profile.weight(r), profile.weight(l)))
+    w = profile.weights()
+    return probability(phase1_rule(profile.a, w[r], w[l]))
 
 
 def mixed_p(profile, other_card):
-    return probability(mixed_rule(profile.a, profile.weight(other_card)))
+    return probability(mixed_rule(profile.a, profile.weights()[other_card]))
 
 
 def pair_p(profile, u, r, l):
-    return probability(pair_rule(profile.a, profile.weight(u), profile.weight(r),
-                                 profile.weight(l)))
+    w = profile.weights()
+    return probability(pair_rule(profile.a, w[u], w[r], w[l]))
 
 
 class TestProbabilityHelpers:
@@ -102,7 +103,7 @@ class TestProbabilityHelpers:
                         p = pair_p(profile, u, r, l)
                         assert 0 < p <= 1 + 1e-12
                         assert p == pytest.approx(
-                            profile.a / profile.weight(l), abs=1e-15)
+                            profile.a / profile.weights()[l], abs=1e-15)
 
     def test_phase1_rate(self):
         assert phase1_marking_rate(H4, 0) == pytest.approx(0.25)
@@ -160,16 +161,18 @@ class TestAssignment:
     @given(st.integers(2, 40), st.data())
     @settings(max_examples=200, deadline=None)
     def test_rank_bound_skips_only_misses(self, n, data):
-        # bulk_marking_runs looks up a pair only when right is its type's
-        # lowest mark and left <= 2 (deck - k); every pair of that right hand
-        # with a marked left above the bound must miss
+        # bulk_marking_runs looks up a pair (R, L) of distinct marked cards
+        # only when L <= 2 (deck - k), R's index within its type is at most
+        # deck - k and no mark of R's type lies below R; every pair failing
+        # one of those tests must miss
         deck = 2 * n
         k = data.draw(st.integers(n + 1, deck))
         marked_set = data.draw(st.permutations(range(deck)).map(lambda p: p[:k]))
         flags = np.zeros(deck, dtype=bool)
         flags[list(marked_set)] = True
-        lows = {min(c for c in marked_set if c < n), min(c for c in marked_set if c >= n)}
-        pairs = [(r, l) for r in lows for l in marked_set if l != r and l > 2 * (deck - k)]
+        room = deck - k
+        pairs = [(r, l) for r in marked_set for l in marked_set if l != r and (
+            l > 2 * room or r % n > room or flags[r - r % n:r].any())]
         if pairs:
             right, left = np.array(pairs).T
             got = assigned_card(np.tile(flags, (len(pairs), 1)), n, right, left)
@@ -196,6 +199,14 @@ class TestAssignment:
         assert got.tolist() == want
         assert sum(u >= 0 for u in want) == sum(
             math.comb(deck, k) * (deck - k) for k in range(n + 1, deck))
+        # both bounds of bulk_marking_runs' lookup filter are tight: hits sit
+        # at R's index = deck - k and at L = 2 (deck - k), 40 and 42 of them
+        # over decks 4 to 10
+        rows, right, left, want = map(np.array, (rows, right, left, want))
+        room = deck - rows.sum(axis=1)
+        at_r = np.count_nonzero((want >= 0) & (right % n == room))
+        at_l = np.count_nonzero((want >= 0) & (left == 2 * room))
+        assert (at_r, at_l) == {2: (2, 2), 3: (6, 5), 4: (12, 12), 5: (20, 23)}[n]
 
 
 class TestScalarEngine:

@@ -116,8 +116,8 @@ BULK = {
         dict(n=5, a=0.5, c1=0.6, trials=400, seed=13, always_mark=True,
              record_mark_times=True),
         "870ec9889db783e7d760fc0bf6583a6273cddba45ec5cce68241bee60a45be14"),
-    # most steps hold runs of both phases, and those steps move marks, lose
-    # and recompute a type's lowest mark and hit assigned pairs
+    # most steps hold runs of both phases, and those steps move marks (some
+    # of them a type's lowest mark) and hit assigned pairs
     "deck32-split-steps": (
         dict(n=16, a=0.25, c1=0.6, trials=500, seed=4246, record_mark_times=True),
         "91753af4fcd6962350ceb9f76186f60f1d94fceb4db851c560899a26be4accd2"),
