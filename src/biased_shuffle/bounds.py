@@ -148,7 +148,7 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             if s >= step_cap:
                 raise RuntimeError(f"touch tracking still open after {s} steps")
             s += 1
-            hands = stream.take(2 * bsz)[1]
+            hands = stream.take(2 * bsz, 2 * bsz)[1]
             if s <= t_max:
                 offsets = row_base + hands
                 flat_pos[offsets] = flat_pos[offsets][partner]

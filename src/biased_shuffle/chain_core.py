@@ -13,6 +13,7 @@ i) and results do not depend on batching or worker layout.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,46 +103,107 @@ def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:
     return hands
 
 
-# Uniforms a HandStream draws and maps at a time: 256 KiB of doubles plus
-# 256 KiB of labels.
+def uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw 64-bit generator words, made exactly as
+    ``Generator.random`` makes them from the same words."""
+    return (words >> 11) * 2.0 ** -53
+
+
+@functools.lru_cache(maxsize=8)
+def hand_table(profile: BiasProfile) -> tuple[np.ndarray, int, bool]:
+    """The hand law on the top bits of a raw word: (table, shift, straddles).
+
+    Bin i holds the words whose top bits are i, so a word's card is
+    ``table[word >> shift]``.  The map of :func:`hands_from_uniforms` is
+    monotone in u, so a bin whose first and last words give the same card
+    maps every word to it; a bin whose ends differ straddles two cards and
+    holds -1, and ``straddles`` says whether any bin does.  A table has at
+    most 2**16 int64 entries (512 KiB); tables are built on first use and
+    cached for the last few profiles.
+    """
+    bits = min(max((profile.deck_size - 1).bit_length() + 6, 10), 16)
+    shift = 64 - bits
+    first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(shift)
+    last = first | np.uint64((1 << shift) - 1)
+    lo = hands_from_uniforms(profile, uniforms_from_words(first))
+    hi = hands_from_uniforms(profile, uniforms_from_words(last))
+    table = np.where(lo == hi, lo, -1)
+    table.flags.writeable = False
+    return table, shift, bool((table < 0).any())
+
+
+# Raw words a HandStream draws and maps at a time: 256 KiB of words, 256 KiB
+# of labels and, once a take wants coins, 256 KiB of uniforms.
 HAND_BLOCK = 1 << 15
+
+# The uniforms of a take that wants none.
+_NO_UNIFORMS = np.empty(0)
+_NO_UNIFORMS.flags.writeable = False
 
 
 class HandStream:
-    """A generator's uniforms, each paired with its card under the hand law.
+    """A generator's raw words, handed out as cards under the hand law or as uniforms.
 
-    Uniforms are drawn and mapped through :func:`hands_from_uniforms` a block
-    of ``HAND_BLOCK`` at a time, and :meth:`take` hands out consecutive
-    slices of them.  A generator's doubles do not depend on how many each
-    ``random`` call asks for, so successive ``take`` calls return the
-    uniforms of successive ``rng.random`` calls of the same sizes, whatever
-    the block size.
+    Words are drawn with ``random_raw`` and mapped to cards through the
+    profile's :func:`hand_table` a block of ``HAND_BLOCK`` at a time; words in
+    a straddling bin fall back to :func:`hands_from_uniforms`.  :meth:`take`
+    hands out consecutive slices.  ``Generator.random`` makes each double from
+    one such word (:func:`uniforms_from_words`), so successive takes see the
+    draws of successive ``rng.random`` calls of the same sizes, whatever the
+    block size.  Words become uniforms only for takes that want coins: a whole
+    block the first time such a take reads it or, in a block drawn for one
+    take alone, only that take's coin draws.
     """
 
     def __init__(self, profile: BiasProfile, rng: np.random.Generator):
         self.profile = profile
-        self.rng = rng
-        self._u = np.empty(0)
+        self._raw = rng.bit_generator.random_raw
+        self._table, self._shift, self._straddles = hand_table(profile)
+        self._words = np.empty(0, dtype=np.uint64)
         self._hands = np.empty(0, dtype=np.int64)
+        self._u = None  # the block's uniforms, made on first use
         self._at = 0
 
-    def take(self, m: int, cards: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``m`` uniforms and the int64 card labels of the first
-        ``cards`` of them (all ``m`` by default), not to be written to."""
+    def _cards(self, words: np.ndarray) -> np.ndarray:
+        hands = self._table[(words >> self._shift).view(np.int64)]
+        if self._straddles:
+            odd = (hands < 0).nonzero()[0]
+            if odd.size:
+                hands[odd] = hands_from_uniforms(self.profile, uniforms_from_words(words[odd]))
+        hands.flags.writeable = False
+        return hands
+
+    def _uniforms(self, start: int, stop: int) -> np.ndarray:
+        if start >= stop:
+            return _NO_UNIFORMS
+        if self._u is None:
+            self._u = uniforms_from_words(self._words)
+            self._u.flags.writeable = False
+        return self._u[start:stop]
+
+    def take(self, m: int, cards: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``m`` draws: the uniforms of draws ``cards``..``m`` and the
+        int64 card labels of the first ``cards``, neither to be written to."""
         start, stop = self._at, self._at + m
-        cut = stop if cards is None else start + cards
-        if stop <= self._u.size:
+        cut, size = start + cards, self._words.size
+        if stop <= size:
             self._at = stop
-            return self._u[start:stop], self._hands[start:cut]
-        head_u, head_hands = self._u[start:], self._hands[start:cut]
-        missing, need = stop - self._u.size, max(cut - self._u.size, 0)
-        self._u = self.rng.random(max(missing, HAND_BLOCK))
-        # a block drawn for this take alone maps only the draws it has cards for
-        self._hands = hands_from_uniforms(
-            self.profile, self._u[:need] if missing >= HAND_BLOCK else self._u)
-        self._u.flags.writeable = self._hands.flags.writeable = False
+            return self._uniforms(cut, stop), self._hands[start:cut]
+        head_u, head_hands = self._uniforms(cut, size), self._hands[start:cut]
+        missing, need = stop - size, max(cut - size, 0)
+        alone = missing >= HAND_BLOCK
+        self._words, self._u = self._raw(max(missing, HAND_BLOCK)), None
+        # a block drawn for this take alone maps only its card draws and
+        # converts only its coin draws
+        self._hands = self._cards(self._words[:need] if alone else self._words)
         self._at = missing
-        if not head_u.size:
-            return self._u[:missing], self._hands[:need]
-        return (np.concatenate((head_u, self._u[:missing])),
-                np.concatenate((head_hands, self._hands[:need])))
+        if alone and need < missing:
+            u = uniforms_from_words(self._words[need:])
+        else:
+            u = self._uniforms(need, missing)
+        hands = self._hands[:need]
+        if head_u.size:
+            u = np.concatenate((head_u, u))
+        if head_hands.size:
+            hands = np.concatenate((head_hands, hands))
+        return u, hands

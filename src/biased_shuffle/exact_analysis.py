@@ -37,7 +37,7 @@ MAX_SCAN_STEPS = 10**7
 
 
 class CapacityError(ValueError):
-    """Requested size exceeds what exact mode is allowed to materialise."""
+    """Requested size exceeds what an exact computation is allowed to materialise."""
 
 
 def encode_many(perms: np.ndarray) -> np.ndarray:

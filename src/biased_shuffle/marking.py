@@ -121,6 +121,21 @@ class BulkMarkingResult:
     mark_times: np.ndarray | None = None       # (trials, N + 1)
 
 
+def _type_a_marks(marked: np.ndarray, n: int) -> np.ndarray:
+    """Marked type-A cards per row, as intp.
+
+    Summed by uint8 matrix-vector products over at most 255 columns each, so
+    no product wraps; at small decks that is about four times faster than
+    ``np.count_nonzero(..., axis=1)`` over the strided slice.
+    """
+    flags = marked[:, :n].view(np.uint8)
+    ones = np.ones(min(n, 255), dtype=np.uint8)
+    count = np.zeros(len(flags), dtype=np.intp)
+    for j in range(0, n, 255):
+        count += flags[:, j:j + 255] @ ones[:n - j]
+    return count
+
+
 def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
@@ -184,10 +199,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             raise RuntimeError(f"batched marking exceeded {cap} steps; "
                                f"{pos_of.shape[0]} runs unfinished")
         batch = pos_of.shape[0]
-        draws, hands = stream.take(3 * batch, cards=2 * batch)
+        coins, hands = stream.take(3 * batch, 2 * batch)
         pair = hands.reshape(2, batch)
         right, left = pair
-        u_acc = no_coins[:batch] if always_mark else draws[2 * batch:]
+        u_acc = no_coins[:batch] if always_mark else coins
 
         offsets = pair + row_base[:batch]
         flat_pos = pos_of.reshape(-1)
@@ -246,7 +261,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
         if census is not None:
             k0 = k.copy()
-            ka0 = np.count_nonzero(marked[:, :n], axis=1)
+            ka0 = _type_a_marks(marked, n)
 
         # one update serves marks and moves: the gained card is marked (the
         # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
@@ -280,7 +295,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 done += fin.size
 
         if census is not None:
-            census.record(threshold, k0, ka0, k, np.count_nonzero(marked[:, :n], axis=1))
+            census.record(threshold, k0, ka0, k, _type_a_marks(marked, n))
 
         # done changes only on steps where a run finished
         if done * 8 >= batch:

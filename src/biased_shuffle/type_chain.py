@@ -14,6 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain_core import check_bias, stream_rng, STREAM_TYPECHAIN
+from .exact_analysis import CapacityError
+
+# Largest n whose (n + 1)^2 grid the tables are built on.  A table holds about
+# 190 bytes per cell while it is built: at n = 1024 it takes about 2 s and
+# 220 MB on a 2-core host, at n = 2048 about 11 s and 800 MB.
+MAX_GRID_N = 1024
 
 
 class TransitionRow(NamedTuple):
@@ -31,6 +37,13 @@ def _check_state(n: int, a: float, ka: int, kb: int) -> None:
         raise ValueError("n must be positive")
     if not (0 <= ka <= n and 0 <= kb <= n):
         raise ValueError(f"(ka, kb) = ({ka}, {kb}) outside the 0..{n} grid")
+
+
+def check_grid(n: int) -> None:
+    """Raise CapacityError if the (n + 1)^2 grid is larger than MAX_GRID_N allows."""
+    if n > MAX_GRID_N:
+        raise CapacityError(f"the type-count grid for n = {n} is over the budget of "
+                            f"n = {MAX_GRID_N}")
 
 
 def check_c1(c1: float) -> None:
@@ -87,6 +100,7 @@ def _backward_sweep(w_b, w_a, w_m) -> np.ndarray:
 def expected_absorption(n: int, a: float) -> np.ndarray:
     """Expected steps to reach (n, n) from every grid state, exact."""
     _check_state(n, a, 0, 0)
+    check_grid(n)
     return _backward_sweep(*_jump_law(n, a, *np.indices((n + 1, n + 1))))
 
 
@@ -100,6 +114,7 @@ def absorption_bound_table(n: int, a: float) -> np.ndarray:
     regime) the move term has no target and is dropped.
     """
     _check_state(n, a, 0, 0)
+    check_grid(n)
     b = 2.0 - a
     ka, kb = np.indices((n + 1, n + 1))
     return _backward_sweep(b * (n - kb), a * (n - ka), (b - 1.0) * (n - ka) * (kb >= 1))

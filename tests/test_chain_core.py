@@ -1,18 +1,24 @@
 """Walk primitives: bias profiles, hand sampling, deck state, single steps."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import DeckState, MarkingState
 from _reference import hand_probability
-from biased_shuffle import chain_core
+from biased_shuffle import bounds, chain_core
 from biased_shuffle.chain_core import (
     BiasProfile,
     HandStream,
+    hand_table,
     hands_from_uniforms,
     make_bias_profile,
     stream_rng,
+    uniforms_from_words,
 )
 
 
@@ -204,16 +210,100 @@ class TestHandStream:
     @pytest.mark.parametrize("block", [8, chain_core.HAND_BLOCK])
     def test_takes_match_per_call_draws(self, monkeypatch, block):
         # takes that fit a block, cross a refill, outgrow a block, or are
-        # empty, with labels for all draws (None) or for the first few only;
-        # a block drawn for one take alone maps only those first few
+        # empty, with cards for all draws or for the first few only, the rest
+        # coming back as uniforms; a block drawn for one take alone maps only
+        # its card draws and converts only its coin draws.  Deck 10 at
+        # a = 0.3 has straddling table bins, so the fallback runs as well.
         monkeypatch.setattr(chain_core, "HAND_BLOCK", block)
         p = make_bias_profile(5, 0.3)
+        assert hand_table(p)[2]
         stream = HandStream(p, stream_rng(8, 60))
         rng = stream_rng(8, 60)
-        for m, cards in ((3, None), (5, 2), (1, None), (0, 0), (block - 2, block - 3),
+        for m, cards in ((3, 3), (5, 2), (1, 1), (0, 0), (block - 2, block - 3),
                          (7, 3), (2 * block + 5, block), (4, 0), (block, block - 1),
-                         (11, None), (2 * block, 1), (3 * block, 0), (3, None)):
-            u, hands = stream.take(m, cards)
+                         (11, 11), (2 * block, 1), (3 * block, 0), (3, 3)):
+            coins, hands = stream.take(m, cards)
             want = rng.random(m)
-            assert u.tolist() == want.tolist()
+            assert coins.tolist() == want[cards:].tolist()
             assert hands.tolist() == hands_from_uniforms(p, want[:cards]).tolist()
+
+    def test_walk_makes_no_uniforms(self, monkeypatch):
+        # the walk takes cards only, and a deck with no straddling bin needs
+        # no fallback, so no word may become a double
+        p = make_bias_profile(8, 0.5)
+        assert not hand_table(p)[2]
+
+        def refuse(words):
+            raise AssertionError(f"{words.size} words turned into uniforms")
+
+        monkeypatch.setattr(chain_core, "uniforms_from_words", refuse)
+        result = bounds.simulate_walks(p, [40], 300, seed=5, touch_threshold=2)
+        assert result.touch_steps.min() > 0
+
+
+# Decks and biases the hand table must serve: the smallest deck, card counts
+# that are not powers of two, the largest deck, and biases whose block edges
+# are or are not dyadic.
+TABLE_DECKS = (2, 6, 100, 1024, 32_766)
+TABLE_BIASES = (1.0, 0.5, 0.25, 0.3, 0.77, 1e-3)
+
+
+def check_hand_table(p: BiasProfile, words: np.ndarray) -> None:
+    """The table against the hand law at every bin's ends and on ``words``."""
+    table, shift, straddles = hand_table(p)
+    bits = 64 - shift
+    assert bits == min(max((p.deck_size - 1).bit_length() + 6, 10), 16)
+    assert table.shape == (1 << bits,) and table.dtype == np.int64
+    assert table.nbytes <= 512 * 1024 and not table.flags.writeable
+    assert straddles == bool((table < 0).any())
+    # the first and last double of each bin, computed without uniforms_from_words
+    first = np.arange(1 << bits) * 2.0 ** -bits
+    last = first + (2.0 ** -bits - 2.0 ** -53)
+    lo, hi = hands_from_uniforms(p, first), hands_from_uniforms(p, last)
+    exact = table >= 0
+    assert (table[exact] == lo[exact]).all() and (table[exact] == hi[exact]).all()
+    assert (lo[~exact] != hi[~exact]).all()
+    cards = table[(words >> shift).view(np.int64)]
+    hit = cards >= 0
+    assert (cards[hit] == hands_from_uniforms(p, uniforms_from_words(words[hit]))).all()
+
+
+class TestHandTable:
+    @pytest.mark.parametrize("a", TABLE_BIASES)
+    @pytest.mark.parametrize("deck", TABLE_DECKS)
+    def test_table_matches_hand_law(self, deck, a):
+        p = make_bias_profile(deck // 2, a)
+        check_hand_table(p, stream_rng(deck, 71).bit_generator.random_raw(20_000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([d // 2 for d in TABLE_DECKS]), st.integers(1, 16_383)),
+           a=st.one_of(st.sampled_from(TABLE_BIASES), st.floats(1e-3, 1.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_table_matches_hand_law_anywhere(self, n, a, seed):
+        check_hand_table(make_bias_profile(n, a),
+                         stream_rng(seed, 72).bit_generator.random_raw(2_000))
+
+    def test_power_of_two_decks_have_no_straddling_bin(self):
+        for deck in (2, 4, 8, 16, 256, 1024, 4096):
+            for a in (0.25, 0.5, 1.0):
+                assert not hand_table(make_bias_profile(deck // 2, a))[2], (deck, a)
+
+    def test_no_table_at_import_and_a_bounded_cache(self):
+        code = ("import biased_shuffle.cli, biased_shuffle.chain_core as c; "
+                "print(c.hand_table.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+        assert hand_table.cache_info().maxsize <= 8
+
+
+class TestPhiloxWords:
+    def test_raw_words_make_the_generator_doubles(self):
+        # Generator.random makes each double from one raw word as
+        # (word >> 11) * 2**-53; call sizes vary on both sides, so a numpy
+        # release that changed the conversion or the word buffering shows here
+        words, doubles = stream_rng(3, 73), stream_rng(3, 73)
+        for m in (1, 2, 3, 7, 0, 1000, 4, 32_768, 5, 65_537, 1):
+            u = uniforms_from_words(words.bit_generator.random_raw(m))
+            assert u.dtype == np.float64
+            assert u.tobytes() == doubles.random(m).tobytes()

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from biased_shuffle import cli, exact_analysis
+from biased_shuffle import cli, exact_analysis, marking, type_chain
 from biased_shuffle.cli import build_parser, main, parse_header
 
 
@@ -310,6 +310,25 @@ class TestExitCodes:
         assert main(["typechain", "--n", n, "--mode", mode]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "n must be positive" in out.err
+
+    @pytest.mark.parametrize("mode", ["rows", "absorption", "bound"])
+    def test_typechain_caps_the_grid_in_every_mode(self, capsys, mode):
+        # n = 10**7 would ask numpy for a 1.4 PiB grid; the cap refuses it first
+        for n in (type_chain.MAX_GRID_N + 1, 10_000_000):
+            assert main(["typechain", "--n", str(n), "--mode", mode]) == 3
+            out = capsys.readouterr()
+            assert out.out == "" and "budget" in out.err
+
+    def test_marking_runs_refuse_decks_past_the_grid_cap(self, monkeypatch, capsys):
+        # the result line's exact mean reads the grid, so no run starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("marking runs started")
+
+        monkeypatch.setattr(marking, "bulk_marking_runs", refuse)
+        deck = 2 * (type_chain.MAX_GRID_N + 1)
+        assert main(["marking", "--deck", str(deck), "--trials", "1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "budget" in out.err
 
     @pytest.mark.parametrize("argv", [
         ["lowerbound", "--deck", "4", "--trials", "10", "--t-list", ","],

@@ -28,6 +28,7 @@ from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARK
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
     _chisquare,
+    _type_a_marks,
     assigned_card,
     bulk_marking_runs,
     expected_full_marking_time,
@@ -432,6 +433,19 @@ class TestBulkEngine:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_type_a_count_is_exact_past_uint8(self):
+        # the census count sums uint8 products over at most 255 columns, so a
+        # row with every type-A card marked counts n even at the largest deck
+        rng = stream_rng(5, 74)
+        for n in (1, 3, 255, 256, 511, 16_383):
+            marked = rng.random((4, 2 * n)) < 0.5
+            marked[0, :n] = True
+            marked[1] = False
+            got = _type_a_marks(marked, n)
+            assert got.dtype == np.intp
+            assert got.tolist() == np.count_nonzero(marked[:, :n], axis=1).tolist()
+            assert got[0] == n
 
     def test_no_mark_moves_without_bias(self):
         census = MarkingCensus(n=3)

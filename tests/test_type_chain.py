@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import rate_mark_a_floor
+from biased_shuffle import marking, type_chain
+from biased_shuffle.chain_core import make_bias_profile
+from biased_shuffle.exact_analysis import CapacityError
 from biased_shuffle.type_chain import (
     TransitionRow,
     absorption_bound_table,
@@ -149,6 +152,19 @@ class TestExpectedAbsorption:
         assert (simulate_absorption(2, 0.5, (2, 2), trials=8, seed=0) == 0).all()
         with pytest.raises(ValueError):
             simulate_absorption(2, 0.5, (0, 0), trials=0, seed=0)
+
+
+class TestGridCap:
+    def test_tables_stop_at_the_cap(self, monkeypatch):
+        # the cap admits n = MAX_GRID_N and refuses the next n before any grid exists
+        monkeypatch.setattr(type_chain, "MAX_GRID_N", 5)
+        assert expected_absorption(5, 0.5).shape == absorption_bound_table(5, 0.5).shape == (6, 6)
+        for build in (lambda: expected_absorption(6, 0.5),
+                      lambda: absorption_bound_table(6, 0.5),
+                      lambda: harmonic_probe(6, 0.75, 0.5),
+                      lambda: marking.expected_full_marking_time(make_bias_profile(6, 0.5), 0.75)):
+            with pytest.raises(CapacityError, match="budget"):
+                build()
 
 
 class TestBoundTable:
