@@ -117,19 +117,26 @@ def hand_table(profile: BiasProfile) -> tuple[np.ndarray, int, bool]:
     ``table[word >> shift]``.  The map of :func:`hands_from_uniforms` is
     monotone in u, so a bin whose first and last words give the same card
     maps every word to it; a bin whose ends differ straddles two cards and
-    holds -1, and ``straddles`` says whether any bin does.  A table has at
-    most 2**16 int64 entries (512 KiB); tables are built on first use and
-    cached for the last few profiles.
+    holds -1, and ``straddles`` says whether any bin does.  The width is the
+    narrowest from ``bit_length(deck - 1) + 2`` bits (clamped to 10..16) up
+    to 16 whose straddling bins are at most 1/64 of the table, else 16 bits,
+    so that small tables stay in cache; a card boundary falls in at most one
+    bin, so below 16 no table is wider than ``bit_length(deck - 1) + 6`` bits.
+    A table has at most 2**16 int64 entries (512 KiB); tables are built on
+    first use and cached for the last few profiles.
     """
-    bits = min(max((profile.deck_size - 1).bit_length() + 6, 10), 16)
-    shift = 64 - bits
-    first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(shift)
-    last = first | np.uint64((1 << shift) - 1)
-    lo = hands_from_uniforms(profile, uniforms_from_words(first))
-    hi = hands_from_uniforms(profile, uniforms_from_words(last))
-    table = np.where(lo == hi, lo, -1)
+    for bits in range(min(max((profile.deck_size - 1).bit_length() + 2, 10), 16), 17):
+        shift = 64 - bits
+        first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(shift)
+        last = first | np.uint64((1 << shift) - 1)
+        lo = hands_from_uniforms(profile, uniforms_from_words(first))
+        hi = hands_from_uniforms(profile, uniforms_from_words(last))
+        table = np.where(lo == hi, lo, -1)
+        straddling = np.count_nonzero(table < 0)
+        if 64 * straddling <= table.size:
+            break
     table.flags.writeable = False
-    return table, shift, bool((table < 0).any())
+    return table, shift, straddling > 0
 
 
 # Raw words a HandStream draws and maps at a time: 256 KiB of words, 256 KiB

@@ -251,8 +251,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     hit &= in2[cand]
                 cand, r = cand[hit], r[hit]
                 if cand.size:
-                    below = (labels < r[:, None]) & (labels >= (r - r % n)[:, None])
-                    cand = cand[~(marked[cand] & below).any(axis=1)]
+                    # every candidate's R is marked, so R is the lowest mark
+                    # of its type exactly when its block's first mark is R
+                    blocks = marked[cand].reshape(-1, 2, n)[np.arange(cand.size), r // n]
+                    cand = cand[blocks.argmax(axis=1) == r % n]
                 if cand.size:
                     u = assigned_card(marked[cand], n, right[cand], left[cand])
                     ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _helpers import DeckState, MarkingState
 from _reference import hand_probability
-from biased_shuffle import bounds, chain_core
+from biased_shuffle import bounds, chain_core, marking
 from biased_shuffle.chain_core import (
     BiasProfile,
     HandStream,
@@ -248,18 +248,49 @@ TABLE_DECKS = (2, 6, 100, 1024, 32_766)
 TABLE_BIASES = (1.0, 0.5, 0.25, 0.3, 0.77, 1e-3)
 
 
+def bin_ends(p: BiasProfile, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cards at the first and last double of each of the 2**bits bins,
+    computed without uniforms_from_words or hand_table."""
+    first = np.arange(1 << bits) * 2.0 ** -bits
+    last = first + (2.0 ** -bits - 2.0 ** -53)
+    return hands_from_uniforms(p, first), hands_from_uniforms(p, last)
+
+
+def straddling_bins(p: BiasProfile, bits: int) -> int:
+    lo, hi = bin_ends(p, bits)
+    return int(np.count_nonzero(lo != hi))
+
+
+def exact_table(p: BiasProfile, bits: int) -> tuple[np.ndarray, int, bool]:
+    """A hand table of the given width, in hand_table's return form."""
+    lo, hi = bin_ends(p, bits)
+    table = np.where(lo == hi, lo, -1)
+    table.flags.writeable = False
+    return table, 64 - bits, bool((table < 0).any())
+
+
+def widest_table_bits(p: BiasProfile) -> int:
+    """bit_length(deck - 1) + 6 clamped to [10, 16]: below the clamp at 16 it
+    has at most 1/64 straddling bins, since a card boundary falls in at most
+    one bin, so no table may be wider."""
+    return min(max((p.deck_size - 1).bit_length() + 6, 10), 16)
+
+
 def check_hand_table(p: BiasProfile, words: np.ndarray) -> None:
     """The table against the hand law at every bin's ends and on ``words``."""
     table, shift, straddles = hand_table(p)
     bits = 64 - shift
-    assert bits == min(max((p.deck_size - 1).bit_length() + 6, 10), 16)
+    # the narrowest width from bit_length(deck - 1) + 2 (clamped to [10, 16])
+    # whose straddling bins are at most 1/64 of the table, else 16 bits
+    start = min(max((p.deck_size - 1).bit_length() + 2, 10), 16)
+    assert start <= bits <= widest_table_bits(p)
+    assert 64 * straddling_bins(p, bits) <= 1 << bits or bits == 16
+    for narrower in range(start, bits):
+        assert 64 * straddling_bins(p, narrower) > 1 << narrower
     assert table.shape == (1 << bits,) and table.dtype == np.int64
     assert table.nbytes <= 512 * 1024 and not table.flags.writeable
     assert straddles == bool((table < 0).any())
-    # the first and last double of each bin, computed without uniforms_from_words
-    first = np.arange(1 << bits) * 2.0 ** -bits
-    last = first + (2.0 ** -bits - 2.0 ** -53)
-    lo, hi = hands_from_uniforms(p, first), hands_from_uniforms(p, last)
+    lo, hi = bin_ends(p, bits)
     exact = table >= 0
     assert (table[exact] == lo[exact]).all() and (table[exact] == hi[exact]).all()
     assert (lo[~exact] != hi[~exact]).all()
@@ -282,6 +313,32 @@ class TestHandTable:
     def test_table_matches_hand_law_anywhere(self, n, a, seed):
         check_hand_table(make_bias_profile(n, a),
                          stream_rng(seed, 72).bit_generator.random_raw(2_000))
+
+    @pytest.mark.parametrize("deck, a, bits", [
+        (1024, 0.25, 12), (1024, 0.5, 12), (1024, 1.0, 12), (256, 0.5, 10),
+        (100, 0.5, 13), (32_766, 0.5, 16)])
+    def test_table_widths(self, deck, a, bits):
+        # deck 32,766 would start at bit_length + 2 = 17 bits unclamped
+        assert hand_table(make_bias_profile(deck // 2, a))[1] == 64 - bits
+
+    @pytest.mark.parametrize("deck, a", [(256, 0.5), (100, 0.5), (10, 0.3)])
+    def test_outputs_do_not_depend_on_the_width(self, monkeypatch, deck, a):
+        # the walk and the marking engine give the same bytes with the
+        # chosen table, the widest the rule allows, and 16 bits; the
+        # replacement tables skip hand_table and its cache
+        p = make_bias_profile(deck // 2, a)
+
+        def outputs():
+            walk = bounds.simulate_walks(p, [deck, 4 * deck], 200, seed=31,
+                                         touch_threshold=deck // 20)
+            runs = marking.bulk_marking_runs(p, 0.75, 40, seed=32)
+            return [x.tobytes() for x in (walk.counts, walk.touch_picks,
+                                          runs.decks, runs.t_phase1, runs.t_full)]
+
+        want = outputs()
+        for width in (widest_table_bits, lambda p: 16):
+            monkeypatch.setattr(chain_core, "hand_table", lambda p: exact_table(p, width(p)))
+            assert outputs() == want
 
     def test_power_of_two_decks_have_no_straddling_bin(self):
         for deck in (2, 4, 8, 16, 256, 1024, 4096):
