@@ -7,9 +7,13 @@ a left card L independently from that law and swaps their positions, so the
 unordered transposition {i, j} is applied with probability 2 p_i p_j and the
 deck stays put with probability sum_i p_i^2.
 
-Randomness policy: every Monte Carlo consumer derives its generator through
-``stream_rng``, so trial i of a run is a pure function of (seed, stream tag,
-i) and results do not depend on batching or worker layout.
+Randomness policy: every Monte Carlo consumer derives its generators through
+``stream_rng`` from (seed, stream tag, ...), and its outputs are a function
+of every argument, ``trials`` included: the marking engine draws all runs
+from one stream, a step's draws sized by the runs still open, and the walk
+uses one stream per ``DEFAULT_BLOCK_SIZE`` trials, so trial i is not a
+function of (seed, i) alone.  Nothing depends on ``HAND_BLOCK`` or on
+thread settings.
 """
 from __future__ import annotations
 
@@ -33,8 +37,8 @@ MAX_DECK = int(np.iinfo(np.int16).max)
 def stream_rng(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator derived from (seed, path).
 
-    Distinct paths give statistically independent streams, so per-trial
-    generators can be re-created anywhere without coordination.
+    Distinct paths give statistically independent streams, so a generator
+    can be re-created anywhere without coordination.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
@@ -139,27 +143,27 @@ def hand_table(profile: BiasProfile) -> tuple[np.ndarray, int, bool]:
     return table, shift, straddling > 0
 
 
-# Raw words a HandStream draws and maps at a time: 256 KiB of words, 256 KiB
-# of labels and, once a take wants coins, 256 KiB of uniforms.
+# Raw words in a full HandStream block, rounded up to whole takes: 256 KiB of
+# words, and of labels and uniforms together.
 HAND_BLOCK = 1 << 15
-
-# The uniforms of a take that wants none.
-_NO_UNIFORMS = np.empty(0)
-_NO_UNIFORMS.flags.writeable = False
 
 
 class HandStream:
     """A generator's raw words, handed out as cards under the hand law or as uniforms.
 
-    Words are drawn with ``random_raw`` and mapped to cards through the
-    profile's :func:`hand_table` a block of ``HAND_BLOCK`` at a time; words in
-    a straddling bin fall back to :func:`hands_from_uniforms`.  :meth:`take`
-    hands out consecutive slices.  ``Generator.random`` makes each double from
-    one such word (:func:`uniforms_from_words`), so successive takes see the
-    draws of successive ``rng.random`` calls of the same sizes, whatever the
-    block size.  Words become uniforms only for takes that want coins: a whole
-    block the first time such a take reads it or, in a block drawn for one
-    take alone, only that take's coin draws.
+    Words are drawn with ``random_raw`` a block at a time.  A block holds a
+    whole number of takes of one shape ``(m, cards)``: a shape's first block
+    holds one take and each next one twice as many, up to the fewest takes
+    that make ``HAND_BLOCK`` words, so a shape that soon changes wastes few
+    words.  A take of another shape starts a new block, led by the words not
+    yet handed out.  Each take's first ``cards`` words become cards through
+    the profile's :func:`hand_table` (words in a straddling bin fall back to
+    :func:`hands_from_uniforms`) and the rest become uniforms, once per
+    block, so no word is mapped or converted for a part of a take that does
+    not want it.  ``Generator.random`` makes each double from one such word
+    (:func:`uniforms_from_words`), so successive takes see the draws of
+    successive ``rng.random`` calls of the same sizes, whatever the block
+    size.
     """
 
     def __init__(self, profile: BiasProfile, rng: np.random.Generator):
@@ -167,50 +171,36 @@ class HandStream:
         self._raw = rng.bit_generator.random_raw
         self._table, self._shift, self._straddles = hand_table(profile)
         self._words = np.empty(0, dtype=np.uint64)
-        self._hands = np.empty(0, dtype=np.int64)
-        self._u = None  # the block's uniforms, made on first use
-        self._at = 0
+        self._shape = (0, 0)
+        self._hands = self._u = np.empty((0, 0))
+        self._row = 0
 
-    def _cards(self, words: np.ndarray) -> np.ndarray:
-        hands = self._table[(words >> self._shift).view(np.int64)]
+    def _fill(self, m: int, cards: int) -> None:
+        left = self._words[self._row * self._shape[0]:]
+        grow = 2 * len(self._hands) if (m, cards) == self._shape else 1
+        takes = max(min(grow, -(-HAND_BLOCK // max(m, 1))), 1)
+        # a block of empty takes keeps the unread words for the next block
+        words = self._raw(max(takes * m - left.size, 0))
+        if left.size:
+            words = np.concatenate((left, words))
+        block = words[:takes * m].reshape(takes, m)
+        card_words = block[:, :cards]
+        hands = self._table[(card_words >> self._shift).view(np.int64)]
         if self._straddles:
-            odd = (hands < 0).nonzero()[0]
+            flat = hands.reshape(-1)
+            odd = (flat < 0).nonzero()[0]
             if odd.size:
-                hands[odd] = hands_from_uniforms(self.profile, uniforms_from_words(words[odd]))
-        hands.flags.writeable = False
-        return hands
-
-    def _uniforms(self, start: int, stop: int) -> np.ndarray:
-        if start >= stop:
-            return _NO_UNIFORMS
-        if self._u is None:
-            self._u = uniforms_from_words(self._words)
-            self._u.flags.writeable = False
-        return self._u[start:stop]
+                flat[odd] = hands_from_uniforms(
+                    self.profile, uniforms_from_words(card_words.reshape(-1)[odd]))
+        u = uniforms_from_words(block[:, cards:]) if cards < m else np.empty((takes, 0))
+        hands.flags.writeable = u.flags.writeable = False
+        self._words, self._shape, self._row = words, (m, cards), 0
+        self._hands, self._u = hands, u
 
     def take(self, m: int, cards: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``m`` draws: the uniforms of draws ``cards``..``m`` and the
         int64 card labels of the first ``cards``, neither to be written to."""
-        start, stop = self._at, self._at + m
-        cut, size = start + cards, self._words.size
-        if stop <= size:
-            self._at = stop
-            return self._uniforms(cut, stop), self._hands[start:cut]
-        head_u, head_hands = self._uniforms(cut, size), self._hands[start:cut]
-        missing, need = stop - size, max(cut - size, 0)
-        alone = missing >= HAND_BLOCK
-        self._words, self._u = self._raw(max(missing, HAND_BLOCK)), None
-        # a block drawn for this take alone maps only its card draws and
-        # converts only its coin draws
-        self._hands = self._cards(self._words[:need] if alone else self._words)
-        self._at = missing
-        if alone and need < missing:
-            u = uniforms_from_words(self._words[need:])
-        else:
-            u = self._uniforms(need, missing)
-        hands = self._hands[:need]
-        if head_u.size:
-            u = np.concatenate((head_u, u))
-        if head_hands.size:
-            hands = np.concatenate((head_hands, hands))
-        return u, hands
+        if (m, cards) != self._shape or self._row == len(self._hands):
+            self._fill(m, cards)
+        self._row += 1
+        return self._u[self._row - 1], self._hands[self._row - 1]

@@ -31,6 +31,8 @@ import math
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from . import __version__, bounds, marking, type_chain
 from .chain_core import DEFAULT_SEED, make_bias_profile
 from .exact_analysis import (
@@ -164,11 +166,9 @@ def cmd_typechain(ns) -> int:
     type_chain.check_c1(ns.c1)
     type_chain.check_grid(n)
     if ns.mode == "rows":
-        rows = []
-        for ka in range(n + 1):
-            for kb in range(n + 1):
-                row = type_chain.transition_row(n, a, ka, kb)
-                rows.append((ka, kb, row.p_b_up, row.p_a_up, row.p_move, row.p_stay))
+        ka, kb = np.indices((n + 1, n + 1)).reshape(2, -1)
+        row = type_chain.transition_row(n, a, ka, kb)
+        rows = zip(ka.tolist(), kb.tolist(), *(p.tolist() for p in row))
         _emit(ns, ("k_a", "k_b", "p_b_up", "p_a_up", "p_move", "p_stay"), rows)
     elif ns.mode == "absorption":
         table = type_chain.expected_absorption(n, a).tolist()

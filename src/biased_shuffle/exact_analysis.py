@@ -33,7 +33,10 @@ from .chain_core import BiasProfile
 # 136,936 orbits at deck 18 and 530,404 at deck 20.
 MAX_EXACT_DECK = 18
 
-MAX_SCAN_STEPS = 10**7
+# distance_scan stops at this multiple of theory_time.  Over decks 2-12 and
+# a in {0.05, 0.25, 0.5, 1}, TV and separation fall below 1e-12 by 21 t* and
+# reach their float floor by 28 t*, so a scan past the cap finds no crossing.
+SCAN_CAP_MULTIPLE = 100
 
 
 class CapacityError(ValueError):
@@ -231,13 +234,15 @@ def distance_scan(op: TransitionOperator):
 
     Rows are kept on ``op``, so a later scan replays them and evolves the
     distribution only past the furthest row an earlier scan reached.  Asking
-    past t = MAX_SCAN_STEPS raises RuntimeError.
+    past t = theory_time(profile, SCAN_CAP_MULTIPLE) raises RuntimeError.
     """
+    cap = theory_time(op.profile, SCAN_CAP_MULTIPLE)
     t = 0
     while True:
         if t == len(op.scanned):
-            if t > MAX_SCAN_STEPS:
-                raise RuntimeError(f"distance scan exceeded {MAX_SCAN_STEPS} steps")
+            if t > cap:
+                raise RuntimeError(f"distance scan exceeded {cap} steps, "
+                                   f"{SCAN_CAP_MULTIPLE} times the theory time")
             op.scan_head = point_mass(op) if t == 0 else op.apply(op.scan_head)
             op.scanned.append((t, tv_distance(op.scan_head, op.sizes),
                                separation_distance(op.scan_head, op.sizes)))

@@ -31,11 +31,11 @@ class TransitionRow(NamedTuple):
     p_stay: float
 
 
-def _check_state(n: int, a: float, ka: int, kb: int) -> None:
+def _check_state(n: int, a: float, ka, kb) -> None:
     check_bias(a)
     if n < 1:
         raise ValueError("n must be positive")
-    if not (0 <= ka <= n and 0 <= kb <= n):
+    if not np.all((0 <= ka) & (ka <= n) & (0 <= kb) & (kb <= n)):
         raise ValueError(f"(ka, kb) = ({ka}, {kb}) outside the 0..{n} grid")
 
 
@@ -62,8 +62,9 @@ def _jump_law(n, a, ka, kb):
     return p_b_up, p_a_up, p_move
 
 
-def transition_row(n: int, a: float, ka: int, kb: int) -> TransitionRow:
-    """Exact move probabilities of the type-count chain at (ka, kb)."""
+def transition_row(n: int, a: float, ka, kb) -> TransitionRow:
+    """Exact move probabilities of the type-count chain at (ka, kb), for ints
+    or for int arrays of states, each field then an array of their shape."""
     _check_state(n, a, ka, kb)
     p_b_up, p_a_up, p_move = _jump_law(n, a, ka, kb)
     return TransitionRow(p_b_up=p_b_up, p_a_up=p_a_up, p_move=p_move,

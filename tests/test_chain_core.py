@@ -209,23 +209,54 @@ class TestStreams:
 class TestHandStream:
     @pytest.mark.parametrize("block", [8, chain_core.HAND_BLOCK])
     def test_takes_match_per_call_draws(self, monkeypatch, block):
-        # takes that fit a block, cross a refill, outgrow a block, or are
-        # empty, with cards for all draws or for the first few only, the rest
-        # coming back as uniforms; a block drawn for one take alone maps only
-        # its card draws and converts only its coin draws.  Deck 10 at
-        # a = 0.3 has straddling table bins, so the fallback runs as well.
+        # takes of one shape whose blocks grow to full size, a shape change
+        # in mid-block that leaves unread words to lead the next block,
+        # one-take blocks (right after a partial block too) and empty takes
+        # (the very first one too), with cards for all draws or for the first
+        # few only, the rest coming back as uniforms.  Deck 10 at a = 0.3 has
+        # straddling table bins, so the fallback runs as well.
         monkeypatch.setattr(chain_core, "HAND_BLOCK", block)
         p = make_bias_profile(5, 0.3)
         assert hand_table(p)[2]
         stream = HandStream(p, stream_rng(8, 60))
         rng = stream_rng(8, 60)
-        for m, cards in ((3, 3), (5, 2), (1, 1), (0, 0), (block - 2, block - 3),
+        for m, cards in ((0, 0), (3, 3), (5, 2), (1, 1), (0, 0), (block - 2, block - 3),
                          (7, 3), (2 * block + 5, block), (4, 0), (block, block - 1),
-                         (11, 11), (2 * block, 1), (3 * block, 0), (3, 3)):
+                         (11, 11), (2 * block, 1), (3 * block, 0), (5, 3), (5, 3),
+                         (7, 2), (7, 2), (block + 3, block), *[(3, 2)] * 12, (3, 3)):
             coins, hands = stream.take(m, cards)
             want = rng.random(m)
             assert coins.tolist() == want[cards:].tolist()
             assert hands.tolist() == hands_from_uniforms(p, want[:cards]).tolist()
+
+    @pytest.mark.parametrize("m,cards", [(300, 200), (chain_core.HAND_BLOCK + 5, 7)])
+    def test_blocks_map_card_draws_and_convert_coin_draws(self, monkeypatch, m, cards):
+        # blocks of one shape hold 1, 2, 4, ... takes up to the fewest that
+        # fill HAND_BLOCK words, one if a take is longer; each block maps only
+        # its takes' card draws and converts only their coin draws, each once
+        p = make_bias_profile(8, 0.5)
+        table, shift, straddles = hand_table(p)
+        assert not straddles
+        mapped, converted = [], []
+
+        class Table:
+            def __getitem__(self, index):
+                mapped.append(index.size)
+                return table[index]
+
+        def convert(words):
+            converted.append(words.size)
+            return uniforms_from_words(words)
+
+        monkeypatch.setattr(chain_core, "hand_table", lambda profile: (Table(), shift, straddles))
+        monkeypatch.setattr(chain_core, "uniforms_from_words", convert)
+        stream = HandStream(p, stream_rng(8, 61))
+        full = -(-chain_core.HAND_BLOCK // m)
+        sizes = [min(1 << i, full) for i in range(full.bit_length() + 2)]
+        for _ in range(sum(sizes)):
+            stream.take(m, cards)
+        assert mapped == [takes * cards for takes in sizes]
+        assert converted == [takes * (m - cards) for takes in sizes]
 
     def test_walk_makes_no_uniforms(self, monkeypatch):
         # the walk takes cards only, and a deck with no straddling bin needs

@@ -253,6 +253,14 @@ class TestExitCodes:
         assert main(["exact", "--deck", "8"] + flags) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exact_scan_stops_below_the_float_floor(self, capsys):
+        # TV at deck 8, a = 0.5 never falls below about 5e-16, so no crossing
+        # of 1e-20 comes and the scan stops at 100 times the theory time
+        start = time.perf_counter()
+        assert main(["exact", "--deck", "8", "-a", "0.5", "--eps", "1e-20"]) == 4
+        assert time.perf_counter() - start < 10.0
+        assert "exceeded 1664 steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["exact", "typechain", "conjecture"])
     def test_unseeded_commands_reject_seed(self, command):
         with pytest.raises(SystemExit) as exc:

@@ -303,7 +303,8 @@ class TestScan:
             assert (tv, sep) == (tv_distance(d, op.sizes), separation_distance(d, op.sizes))
 
     def test_step_cap(self, monkeypatch):
-        monkeypatch.setattr(exact_analysis, "MAX_SCAN_STEPS", 3)
+        # twice the theory time of 1 step at deck 2, a = 0.5, rounds to 3 steps
+        monkeypatch.setattr(exact_analysis, "SCAN_CAP_MULTIPLE", 2)
         op = build_operator(make_bias_profile(2, 0.5))
         with pytest.raises(RuntimeError):
             mixing_time(op, 1e-9)

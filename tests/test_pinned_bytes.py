@@ -281,8 +281,8 @@ def test_bulk_engine_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(BULK))
 def test_bulk_engine_bytes_with_tiny_hand_blocks(monkeypatch, name):
-    # blocks of 7 uniforms refill on nearly every take and every take
-    # crosses a block boundary or outgrows a block
+    # with blocks of 7 words nearly every take fills a one-take block of its
+    # own; only the small takes of the last few runs share blocks
     monkeypatch.setattr(chain_core, "HAND_BLOCK", 7)
     kwargs, expected = BULK[name]
     assert bulk_digest(**kwargs) == expected

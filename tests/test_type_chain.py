@@ -74,6 +74,12 @@ class TestTransitionRow:
         for ka in range(4):
             for kb in range(4):
                 assert transition_row(3, 1.0, ka, kb).p_move == 0.0
+        # the whole grid in one call gives the same rows, bit for bit
+        ka, kb = np.indices((4, 4)).reshape(2, -1)
+        rows = transition_row(3, 1.0, ka, kb)
+        assert not rows.p_move.any()
+        for i in range(ka.size):
+            assert tuple(p[i] for p in rows) == transition_row(3, 1.0, int(ka[i]), int(kb[i]))
 
     @given(st.integers(1, 12), st.floats(0.05, 1.0), st.data())
     @settings(max_examples=150, deadline=None)
@@ -91,6 +97,8 @@ class TestTransitionRow:
             transition_row(2, 0.5, 3, 0)
         with pytest.raises(ValueError):
             transition_row(2, 0.5, 0, -1)
+        with pytest.raises(ValueError):
+            transition_row(2, 0.5, np.array([0, 1, 3]), np.array([0, 2, 0]))
 
     def test_rate_mark_a_identity(self):
         for ka in range(5):
