@@ -57,7 +57,7 @@ def check_capacity(deck: int) -> None:
     """Raise CapacityError if the deck is larger than MAX_EXACT_DECK."""
     if deck > MAX_EXACT_DECK:
         raise CapacityError(
-            f"exact mode for a deck of {deck} cards is over the budget of "
+            f"a deck of {deck} cards is over the exact budget of "
             f"{MAX_EXACT_DECK} cards")
 
 

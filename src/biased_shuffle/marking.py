@@ -23,16 +23,20 @@ once as a (numerator, denominator) rule of hand weights; triggers 1 to 3
 share :func:`mixed_rule`.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
-trajectories as numpy rows.  It keeps per run only what the law reads: card
-positions, the marked set and the marked count.  It derives the phase from
-the marked count and writes a run's deck once, when the run finishes.  It
-draws from a single stream derived from (seed, tag), so its output is a
-deterministic function of (seed, trials).  The tests check it against a
-scalar per-trajectory engine and an exact dynamic program over (deck,
-marked set), both built on the same rules.
+trajectories as numpy rows.  The deck alone picks the form of its step.  Up
+to STEP_TABLE_MAX_DECK cards a run keeps its card positions and one integer
+for its marked set, and each step is read from :func:`step_table`, the whole
+step precomputed from the rules over every (marked set, R, L).  Above that a
+run keeps its card positions, marked set and marked count, and the step
+applies the rules to the batch inline.  Both forms write a run's deck once,
+when the run finishes, and draw from one stream derived from (seed, tag), so
+the output is the same deterministic function of (seed, trials) in either
+form.  The tests check it against a scalar per-trajectory engine and an
+exact dynamic program over (deck, marked set), both built on the same rules.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import type_chain
 from .chain_core import BiasProfile, STREAM_MARKING, HandStream, stream_rng
-from .exact_analysis import encode_many
+from .exact_analysis import check_capacity, encode_many
 
 
 def mark_threshold(deck: int, c1: float) -> int:
@@ -109,6 +113,59 @@ def default_step_cap(deck: int) -> int:
     return math.ceil(1e4 * deck * max(math.log(deck), 1.0))
 
 
+# Largest deck whose marking step reads :func:`step_table`: 2**8 marked sets
+# times 8**2 hand pairs make 16,384 rows.
+STEP_TABLE_MAX_DECK = 8
+
+
+@functools.lru_cache(maxsize=8)
+def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
+    """The marking step over every (marked set, R, L): (num, den, moves, k, ka).
+
+    Row key = mask * N**2 + R * N + L (N = deck; bit c of mask set when card
+    c is marked) accepts its draw when ``u * den < num``, from the rules;
+    ``moves[key, accepted]`` is the next state, mask * N**2 of the next
+    marked set; ``k`` and ``ka`` count the mask's marked and marked type-A
+    cards.  Rows that cannot mark have ``num`` 0, so an acceptance always
+    adds a mark.  Built on first use and cached for the last few tables.
+    """
+    n, deck, a = profile.n, profile.deck_size, profile.a
+    if deck > STEP_TABLE_MAX_DECK:
+        raise ValueError(f"deck {deck} is over the step table cap of {STEP_TABLE_MAX_DECK}")
+    wt = profile.weights()
+    mask, right, left = (x.reshape(-1) for x in np.meshgrid(
+        np.arange(1 << deck), np.arange(deck), np.arange(deck), indexing="ij"))
+    marked = (mask[:, None] >> np.arange(deck)) & 1 == 1
+    k = np.count_nonzero(marked, axis=1)
+    m_r, m_l = (mask >> right) & 1 == 1, (mask >> left) & 1 == 1
+    w_r, w_l = wt[right], wt[left]
+    num, den = np.zeros(mask.size), np.ones(mask.size)
+    acc, rej = mask.copy(), mask.copy()
+    # phase one marks R when both hands are unmarked
+    one = (k < threshold) & ~m_r & ~m_l
+    num[one], den[one] = phase1_rule(a, w_r[one], w_l[one])
+    acc[one] |= 1 << right[one]
+    # phase two with one unmarked hand (a solo draw counts): mark it, and a
+    # rejected mixed draw moves the other hand's mark onto it
+    two = k >= threshold
+    mixed = two & (m_r != m_l)
+    free = mixed | (two & (right == left) & ~m_r)
+    num[free], den[free] = mixed_rule(a, np.where(m_r, w_r, w_l)[free])
+    acc[free] |= 1 << np.where(m_r, left, right)[free]
+    rej[mixed] ^= (1 << right[mixed]) | (1 << left[mixed])
+    # phase two with distinct marked hands: mark their assigned card, if any
+    pair = (two & m_r & m_l & (right != left)).nonzero()[0]
+    u = assigned_card(marked[pair], n, right[pair], left[pair])
+    pair, u = pair[u >= 0], u[u >= 0]
+    num[pair], den[pair] = pair_rule(a, wt[u], w_r[pair], w_l[pair])
+    acc[pair] |= 1 << u
+    table = (num, den, np.stack((rej, acc), axis=1) * deck**2, k,
+             np.count_nonzero(marked[:, :n], axis=1))
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
 # --------------------------------------------------------------------------
 # Batched engine
 # --------------------------------------------------------------------------
@@ -142,8 +199,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       census=None) -> BulkMarkingResult:
     """Run many marking trajectories in one vectorised sweep.
 
-    Each run keeps only what the law reads: ``pos_of`` (the position of
-    every card), the marked set and the marked count ``k``.  Marks only add
+    At decks up to STEP_TABLE_MAX_DECK each run keeps ``pos_of`` (the
+    position of every card) and its state, mask * deck**2 for its marked
+    set, and a step looks its draw up in :func:`step_table`: key = state +
+    R * deck + L, then the next state by the coin ``u * den < num``.
+
+    Above that each run keeps ``pos_of``, the marked set and the marked
+    count ``k``, and the step applies the rules inline.  Marks only add
     to ``k``, so a run is in phase two exactly while ``k >= threshold``, and
     a run's deck is written once, as the inverse of its ``pos_of`` row, when
     it finishes.  Marks and moves share one update: each run yields the card
@@ -172,8 +234,14 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
     labels = np.arange(deck, dtype=np.int16)
     pos_of = np.tile(labels, (trials, 1))
-    marked = np.zeros((trials, deck), dtype=bool)
-    k = np.zeros(trials, dtype=np.int16)
+    tabled = deck <= STEP_TABLE_MAX_DECK
+    if tabled:
+        num, den, moves, k_of, ka_of = step_table(profile, threshold)
+        moves = moves.reshape(-1)  # moves[2 * key + accepted]
+        state = np.zeros(trials, dtype=np.int64)  # mask * deck**2
+    else:
+        marked = np.zeros((trials, deck), dtype=bool)
+        k = np.zeros(trials, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
     # pos_of and marked stay C-contiguous through compaction: card c of run i
     # sits at flat offset i * deck + c of both
@@ -192,6 +260,12 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         num, den = rule
         return u * den < num
 
+    def counts():
+        """Every row's marked count and marked type-A count, for the census."""
+        if tabled:
+            return k_of[state], ka_of[state]
+        return k.copy(), _type_a_marks(marked, n)
+
     t = 0
     while pos_of.shape[0]:
         t += 1
@@ -208,82 +282,94 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         flat_pos = pos_of.reshape(-1)
         held = flat_pos[offsets]
         flat_pos[offsets] = held[::-1]
-        flat_marked = marked.reshape(-1)
-        m_r, m_l = flat_marked[offsets]
-        w_r, w_l = wt[pair]
-        # phase masks are needed only on steps where both phases hold runs
-        split = 0 < live2 < batch
-        if split:
-            in2 = k >= threshold
-
-        # gets marks the runs that gain a marked card this step, by a new mark
-        # or a moved one, and gain holds that card where gets is set; each
-        # phase's rules run only on steps where some run is in that phase
-        if live2 < batch:
-            acc1 = ~(m_r | m_l | in2) if split else ~(m_r | m_l)
-            acc1 &= coin(u_acc, phase1_rule(a, w_r, w_l))
-            gets, gain = acc1, right
-        if live2:
-            mixed = m_r != m_l
-            solo = (right == left) & ~m_r
-            if split:
-                mixed &= in2
-                solo &= in2
-            # the unmarked hand, which is the right hand of a phase-one mark;
-            # on a solo draw w_r = w_l, so one mixed_rule coin of a / w(u)
-            # serves both draw kinds
-            gain = np.where(m_r, left, right)
-            ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
-            # a mixed draw either marks its free hand or moves the mark to it
-            move = mixed & ~ok
-            gets = mixed | (solo & ok)
-            if split:
-                gets |= acc1
-            # a pair can hit only if L is marked with L - (deck - k) <= deck - k
-            # and R is marked, other than L, at index at most deck - k within
-            # its type and below every other mark of its type
-            room = deck - k
-            cand = (m_l & (left - room <= room)).nonzero()[0]
-            if cand.size:
-                r = right[cand]
-                hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
-                if split:
-                    hit &= in2[cand]
-                cand, r = cand[hit], r[hit]
-                if cand.size:
-                    # every candidate's R is marked, so R is the lowest mark
-                    # of its type exactly when its block's first mark is R
-                    blocks = marked[cand].reshape(-1, 2, n)[np.arange(cand.size), r // n]
-                    cand = cand[blocks.argmax(axis=1) == r % n]
-                if cand.size:
-                    u = assigned_card(marked[cand], n, right[cand], left[cand])
-                    ok4 = (u >= 0) & coin(u_acc[cand], pair_rule(a, wt[u], w_r[cand], w_l[cand]))
-                    gets[cand[ok4]] = True
-                    gain[cand[ok4]] = u[ok4]
-
         if census is not None:
-            k0 = k.copy()
-            ka0 = _type_a_marks(marked, n)
+            before = counts()
 
-        # one update serves marks and moves: the gained card is marked (the
-        # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
-        # wrapper)
-        idx = gets.nonzero()[0]
-        cards = gain[idx]
-        if idx.size:
-            flat_marked[row_base[idx] + cards] = True
+        if tabled:
+            key = right * deck
+            key += left
+            key += state
+            ok = u_acc * den[key] < num[key]
+            key *= 2
+            key += ok
+            state = moves[key]
+            # an acceptance always adds a mark
+            idx = ok.nonzero()[0]
+            k_now = k_of[state[idx]]
+        else:
+            flat_marked = marked.reshape(-1)
+            m_r, m_l = flat_marked[offsets]
+            w_r, w_l = wt[pair]
+            # phase masks are needed only on steps where both phases hold runs
+            split = 0 < live2 < batch
+            if split:
+                in2 = k >= threshold
+
+            # gets marks the runs that gain a marked card this step, by a new
+            # mark or a moved one, and gain holds that card where gets is set;
+            # each phase's rules run only on steps where some run is in that phase
+            if live2 < batch:
+                acc1 = ~(m_r | m_l | in2) if split else ~(m_r | m_l)
+                acc1 &= coin(u_acc, phase1_rule(a, w_r, w_l))
+                gets, gain = acc1, right
             if live2:
-                moved = move[idx]
-                if moved.any():
-                    # a move unmarks its other hand, the marked one
-                    vidx = idx[moved]
-                    src = right[vidx] + left[vidx] - cards[moved]
-                    flat_marked[row_base[vidx] + src] = False
-                    idx = idx[~moved]
+                mixed = m_r != m_l
+                solo = (right == left) & ~m_r
+                if split:
+                    mixed &= in2
+                    solo &= in2
+                # the unmarked hand, which is the right hand of a phase-one
+                # mark; on a solo draw w_r = w_l, so one mixed_rule coin of
+                # a / w(u) serves both draw kinds
+                gain = np.where(m_r, left, right)
+                ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
+                # a mixed draw either marks its free hand or moves the mark to it
+                move = mixed & ~ok
+                gets = mixed | (solo & ok)
+                if split:
+                    gets |= acc1
+                # a pair can hit only if L is marked with L - (deck - k) <=
+                # deck - k and R is marked, other than L, at index at most
+                # deck - k within its type and below every other mark of its type
+                room = deck - k
+                cand = (m_l & (left - room <= room)).nonzero()[0]
+                if cand.size:
+                    r = right[cand]
+                    hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
+                    if split:
+                        hit &= in2[cand]
+                    cand, r = cand[hit], r[hit]
+                    if cand.size:
+                        # every candidate's R is marked, so R is the lowest mark
+                        # of its type exactly when its block's first mark is R
+                        blocks = marked[cand].reshape(-1, 2, n)[np.arange(cand.size), r // n]
+                        cand = cand[blocks.argmax(axis=1) == r % n]
+                    if cand.size:
+                        u = assigned_card(marked[cand], n, right[cand], left[cand])
+                        ok4 = (u >= 0) & coin(u_acc[cand],
+                                              pair_rule(a, wt[u], w_r[cand], w_l[cand]))
+                        gets[cand[ok4]] = True
+                        gain[cand[ok4]] = u[ok4]
 
-        if idx.size:
+            # one update serves marks and moves: the gained card is marked (the
+            # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
+            # wrapper)
+            idx = gets.nonzero()[0]
+            cards = gain[idx]
+            if idx.size:
+                flat_marked[row_base[idx] + cards] = True
+                if live2:
+                    moved = move[idx]
+                    if moved.any():
+                        # a move unmarks its other hand, the marked one
+                        vidx = idx[moved]
+                        src = right[vidx] + left[vidx] - cards[moved]
+                        flat_marked[row_base[vidx] + src] = False
+                        idx = idx[~moved]
             k_now = k[idx] + 1
             k[idx] = k_now
+
+        if idx.size:
             enter = idx[k_now == threshold]
             if enter.size:
                 out_tp1[orig[enter]] = t
@@ -297,14 +383,18 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 done += fin.size
 
         if census is not None:
-            census.record(threshold, k0, ka0, k, _type_a_marks(marked, n))
+            census.record(threshold, *before, *counts())
 
         # done changes only on steps where a run finished
         if done * 8 >= batch:
-            keep = np.flatnonzero(k < deck)
+            if tabled:
+                keep = np.flatnonzero(k_of[state] < deck)
+                state = state[keep]
+            else:
+                keep = np.flatnonzero(k < deck)
+                marked = marked[keep]
+                k = k[keep]
             pos_of = pos_of[keep]
-            marked = marked[keep]
-            k = k[keep]
             orig = orig[keep]
             live2, done = live2 - done, 0
 
@@ -318,8 +408,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
 def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
                     *, always_mark: bool = False) -> dict:
-    """Chi-square test that the deck at full marking is uniform over N!."""
+    """Chi-square test that the deck at full marking is uniform over N!.
+
+    Decks past MAX_EXACT_DECK are refused before N! is formed: their cells
+    could never be filled, and past deck 20 the int64 ranks overflow.
+    """
     deck = profile.deck_size
+    check_capacity(deck)
     cells = math.factorial(deck)
     if trials < 100 * cells:
         raise ValueError(f"need at least {100 * cells} trials for {cells} cells")

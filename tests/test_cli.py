@@ -338,6 +338,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "budget" in out.err
 
+    @pytest.mark.parametrize("deck", ["22", "2048"])
+    def test_uniformity_refuses_decks_past_the_exact_cap(self, monkeypatch, capsys, deck):
+        # 100 N! once had too many digits to print at deck 1600, and the int64
+        # Lehmer ranks overflow past deck 20; the cap refuses both before any run
+        def refuse(*args, **kwargs):
+            raise AssertionError("marking runs started")
+
+        monkeypatch.setattr(marking, "bulk_marking_runs", refuse)
+        assert main(["marking", "--mode", "uniformity", "--deck", deck,
+                     "--trials", "1000"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "exact budget of 18 cards" in out.err
+
     @pytest.mark.parametrize("argv", [
         ["lowerbound", "--deck", "4", "--trials", "10", "--t-list", ","],
         ["lowerbound", "--deck", "4", "--trials", "10", "--multiples", ","],

@@ -24,6 +24,7 @@ from _helpers import (
     run_to_full_marking,
 )
 from _reference import build_assignment, full_scheme_dp, probability
+from biased_shuffle import marking
 from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
@@ -352,6 +353,75 @@ class TestPhase1PathLaw:
             assert lo <= dev <= hi
 
 
+def oracle_step(profile, c1, mask, right, left, coin):
+    """One scalar-oracle step on the draw (right, left) from the marked set
+    ``mask``: the next mask and the acceptance rules the oracle asked for."""
+    deck = profile.deck_size
+    ms = MarkingState(profile, c1)
+    ms.marked = [bool(mask >> c & 1) for c in range(deck)]
+    ms.k = sum(ms.marked)
+    ms.ka = sum(ms.marked[:profile.n])
+    # the marked cards first in phi; the deck starts as the identity, so psi = phi
+    ms.phi = sorted(range(deck), key=lambda c: not ms.marked[c])
+    ms.psi = list(ms.phi)
+    ms.phi_inv = [ms.phi.index(c) for c in range(deck)]
+    rules = []
+    accept = ms._accept
+    ms._accept = lambda rule, rng: rules.append(rule) or accept(rule, rng)
+    ms.deck.swap_cards(right, left)
+    step = phase2_step if ms.phase2 else phase1_step
+    step(ms, right, left, _helpers._FixedCoin(coin))
+    assert factorization_check(ms) == 0
+    return sum(1 << c for c in range(deck) if ms.marked[c]), rules
+
+
+class TestStepTable:
+    """The precomputed step against the scalar oracle, row by row."""
+
+    @staticmethod
+    def check_rows(profile, c1, keys):
+        deck = profile.deck_size
+        num, den, moves, k, ka = marking.step_table(profile, mark_threshold(deck, c1))
+        assert num.size == 2**deck * deck**2
+        for key in keys:
+            mask, right, left = key // deck**2, key // deck % deck, key % deck
+            assert k[key] == bin(mask).count("1")
+            assert ka[key] == bin(mask % 2**profile.n).count("1")
+            # a coin of 1.0 rejects even the rules of probability one
+            for coin in (0.0, 1 - 1e-12, 1.0):
+                got, rules = oracle_step(profile, c1, mask, right, left, coin)
+                assert moves[key, int(coin * den[key] < num[key])] == got * deck**2
+            if rules:
+                assert [(num[key], den[key])] == rules
+            else:
+                assert num[key] == 0.0
+
+    @pytest.mark.parametrize("c1", [0.6, 0.9])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_row_matches_the_scalar_oracle(self, n, a, c1):
+        profile = make_bias_profile(n, a)
+        self.check_rows(profile, c1, range(2**(2 * n) * (2 * n)**2))
+
+    @pytest.mark.parametrize("a,c1", [(0.25, 0.75), (0.5, 0.6), (1.0, 0.9)])
+    def test_sampled_deck8_rows_match_the_scalar_oracle(self, a, c1):
+        keys = stream_rng(8, 75).integers(0, 2**8 * 8**2, 1_500)
+        self.check_rows(make_bias_profile(4, a), c1, keys.tolist())
+
+    def test_refuses_decks_past_the_cap(self):
+        with pytest.raises(ValueError, match="step table cap"):
+            marking.step_table(make_bias_profile(5, 0.5), 6)
+
+
+def assert_same_runs(got, want):
+    """Two BulkMarkingResults agree in every field, dtypes included."""
+    for field in ("decks", "t_phase1", "t_full", "mark_times"):
+        one, two = getattr(got, field), getattr(want, field)
+        assert (one is None) == (two is None)
+        if one is not None:
+            assert one.dtype == two.dtype and np.array_equal(one, two)
+
+
 class TestBulkEngine:
     def test_deterministic_per_seed(self):
         one = bulk_marking_runs(H4, 0.6, 300, seed=12, record_mark_times=True)
@@ -428,11 +498,25 @@ class TestBulkEngine:
         watched = bulk_marking_runs(profile, c1, trials, seed, census=census, **kwargs)
         plain = bulk_marking_runs(profile, c1, trials, seed, **kwargs)
         assert census.phase1_steps.sum() > 0
-        for field in ("decks", "t_phase1", "t_full", "mark_times"):
-            got, want = getattr(watched, field), getattr(plain, field)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_same_runs(watched, plain)
+
+    @pytest.mark.parametrize("always_mark", [False, True])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_step_table_and_inline_step_agree(self, monkeypatch, n, a, always_mark):
+        # decks up to STEP_TABLE_MAX_DECK read the step table; a cap of 0 sends
+        # them through the inline step, which must give the same bytes
+        profile = make_bias_profile(n, a)
+        runs, censuses = [], []
+        for cap in (marking.STEP_TABLE_MAX_DECK, 0):
+            monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", cap)
+            censuses.append(MarkingCensus(n=n))
+            runs.append(bulk_marking_runs(profile, 0.6, 300, 40 + n, census=censuses[-1],
+                                          always_mark=always_mark,
+                                          record_mark_times=True))
+        assert_same_runs(*runs)
+        for field in ("phase1_steps", "phase1_marks", "phase2_counts"):
+            assert np.array_equal(getattr(censuses[0], field), getattr(censuses[1], field))
 
     def test_type_a_count_is_exact_past_uint8(self):
         # the census count sums uint8 products over at most 255 columns, so a

@@ -8,6 +8,7 @@ REFERENCE = Path(__file__).with_name("_reference.py")
 FAST_PATHS = frozenset({
     "assigned_card",
     "bulk_marking_runs",
+    "step_table",
     "hands_from_uniforms",
     "HandStream",
     "build_operator",

@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from _helpers import MarkingCensus, run_to_full_marking
-from biased_shuffle import chain_core
+from biased_shuffle import chain_core, marking
 from biased_shuffle.bounds import simulate_walks, uniform_fixed_pmf
 from biased_shuffle.chain_core import STREAM_MARKING, make_bias_profile, stream_rng
 from biased_shuffle.cli import main
@@ -288,6 +288,16 @@ def test_bulk_engine_bytes_with_tiny_hand_blocks(monkeypatch, name):
     assert bulk_digest(**kwargs) == expected
 
 
+@pytest.mark.parametrize("name", sorted(name for name, (kwargs, _) in BULK.items()
+                                         if 2 * kwargs["n"] <= marking.STEP_TABLE_MAX_DECK))
+def test_bulk_engine_bytes_on_the_inline_step(monkeypatch, name):
+    # decks up to STEP_TABLE_MAX_DECK read the step table; a cap of 0 sends
+    # them through the inline step, which must give the same digest
+    monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 0)
+    kwargs, expected = BULK[name]
+    assert bulk_digest(**kwargs) == expected
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR))
 def test_scalar_engine_bytes(name):
     kwargs, expected = SCALAR[name]
@@ -296,6 +306,13 @@ def test_scalar_engine_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(CLI))
 def test_marking_cli_bytes(capsys, name):
+    argv, expected = CLI[name]
+    assert cli_digest(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_marking_cli_bytes_on_the_inline_step(monkeypatch, capsys, name):
+    monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 0)
     argv, expected = CLI[name]
     assert cli_digest(capsys, argv) == expected
 
