@@ -5,6 +5,7 @@ distance curves, ``simulate`` for walk samples of the fixed-count
 observable, ``marking`` for the two-phase marking engine, ``typechain``
 for the type-count chain tables, ``lowerbound`` for the coupon-collector
 TV bound, and ``conjecture`` for the weighted-diagonal harmonic probe.
+Each subcommand imports only the engine it runs.
 
 Every output starts with a one-line reproducibility header::
 
@@ -33,16 +34,20 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import __version__, bounds, marking, type_chain
+from . import __version__
 from .chain_core import DEFAULT_SEED, make_bias_profile
 from .exact_analysis import (
     CapacityError,
     build_operator,
     check_eps,
+    check_scan_steps,
     cutoff_profile,
     mixing_time,
     theory_time,
 )
+
+# CSV rows formatted at a time, which bounds the writer's memory
+EMIT_BLOCK_ROWS = 1 << 16
 
 
 def _list(value: str, cast) -> list:
@@ -60,24 +65,14 @@ def _profile_from(ns) -> "BiasProfile":
 
 
 def _header_params(ns) -> dict:
-    skip = {"command", "out", "func"}
-    params = {k: v for k, v in vars(ns).items() if k not in skip}
-    params["command"] = ns.command
+    params = {k: v for k, v in vars(ns).items() if k not in {"out", "func"}}
     params["version"] = __version__
     return params
 
 
-def _fmt(value) -> str:
-    # float() first: numpy 2 reprs a bare np.float64 as "np.float64(...)"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _emit(ns, columns, rows, result: dict | None = None, payload=None) -> None:
-    """Write header line, optional result line, then CSV rows or a JSON payload."""
-    to_stdout = ns.out in (None, "-")
-    ctx = nullcontext(sys.stdout) if to_stdout else open(ns.out, "w", newline="")
+def _emit(ns, names=(), columns=(), result=None, payload=None) -> None:
+    """Write header line, optional result line, then equal-length CSV columns or a JSON payload."""
+    ctx = nullcontext(sys.stdout) if ns.out in (None, "-") else open(ns.out, "w", newline="")
     with ctx as fh:
         fh.write("# config " + json.dumps(_header_params(ns), sort_keys=True) + "\n")
         if result is not None:
@@ -86,8 +81,12 @@ def _emit(ns, columns, rows, result: dict | None = None, payload=None) -> None:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
             return
         # every field is a number or a plain column name, so no CSV quoting
-        fh.write(",".join(columns) + "\n")
-        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
+            # tolist() gives Python ints and floats; str of a float is its repr
+            cells = [map(str, np.asarray(column[start:start + EMIT_BLOCK_ROWS]).tolist())
+                     for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def parse_header(line: str) -> dict:
@@ -107,6 +106,7 @@ def cmd_exact(ns) -> int:
     t_max = ns.t_max if ns.t_max is not None else 2 * theory_time(profile)
     if t_max < 0:
         raise ValueError("t-max must be nonnegative")
+    check_scan_steps(profile, t_max)
     eps = check_eps(ns.eps)
     op = build_operator(profile)
     rows = cutoff_profile(op, range(t_max + 1))
@@ -115,33 +115,34 @@ def cmd_exact(ns) -> int:
         "mixing_time_tv": mixing_time(op, eps, metric="tv"),
         "mixing_time_separation": mixing_time(op, eps, metric="separation"),
     }
-    _emit(ns, ("t", "tv", "separation"), rows, result=result)
+    _emit(ns, ("t", "tv", "separation"), tuple(zip(*rows)), result=result)
     return 0
 
 
 def cmd_simulate(ns) -> int:
+    from . import bounds
     profile = _profile_from(ns)
     res = bounds.simulate_walks(profile, [ns.t], ns.trials, ns.seed)
     counts = res.counts[:, 0]
-    rows = [(i, int(c)) for i, c in enumerate(counts)]
-    _emit(ns, ("trial", "count"), rows,
+    _emit(ns, ("trial", "count"), (np.arange(counts.size), counts),
           result={"mean_count": float(counts.mean()), "t": ns.t})
     return 0
 
 
 def cmd_marking(ns) -> int:
+    from . import marking
     profile = _profile_from(ns)
     c1, trials, seed = ns.c1, ns.trials, ns.seed
     if ns.mode == "uniformity":
         report = marking.uniformity_test(profile, c1, trials, seed,
                                          always_mark=ns.always_mark)
-        _emit(ns, (), (), payload=report)
+        _emit(ns, payload=report)
     elif ns.mode == "gaps":
         if ns.always_mark:
             raise ValueError("--always-mark applies to --mode runs and "
                              "uniformity only")
         report = marking.gap_correlation_report(profile, c1, trials, seed)
-        _emit(ns, (), (), payload=report)
+        _emit(ns, payload=report)
     else:
         # the exact means first: the type-count grid's cap refuses a deck
         # before any run starts
@@ -153,41 +154,35 @@ def cmd_marking(ns) -> int:
                                         always_mark=ns.always_mark)
         result["mean_t_phase1"] = float(res.t_phase1.mean())
         result["mean_t_full"] = float(res.t_full.mean())
-        rows = [(i, int(p), int(f))
-                for i, (p, f) in enumerate(zip(res.t_phase1, res.t_full))]
-        _emit(ns, ("trial", "t_phase1", "t_full"), rows, result=result)
+        _emit(ns, ("trial", "t_phase1", "t_full"),
+              (np.arange(res.t_full.size), res.t_phase1, res.t_full), result=result)
     return 0
 
 
 def cmd_typechain(ns) -> int:
+    from . import type_chain
     n, a = ns.n, ns.a
     if n < 1:
         raise ValueError("n must be positive")
     type_chain.check_c1(ns.c1)
     type_chain.check_grid(n)
+    ka, kb = np.indices((n + 1, n + 1)).reshape(2, -1)
     if ns.mode == "rows":
-        ka, kb = np.indices((n + 1, n + 1)).reshape(2, -1)
         row = type_chain.transition_row(n, a, ka, kb)
-        rows = zip(ka.tolist(), kb.tolist(), *(p.tolist() for p in row))
-        _emit(ns, ("k_a", "k_b", "p_b_up", "p_a_up", "p_move", "p_stay"), rows)
+        _emit(ns, ("k_a", "k_b", "p_b_up", "p_a_up", "p_move", "p_stay"), (ka, kb, *row))
     elif ns.mode == "absorption":
-        table = type_chain.expected_absorption(n, a).tolist()
-        rows = [(ka, kb, value)
-                for ka, line in enumerate(table) for kb, value in enumerate(line)]
-        _emit(ns, ("k_a", "k_b", "expected_steps"), rows)
+        table = type_chain.expected_absorption(n, a).ravel()
+        _emit(ns, ("k_a", "k_b", "expected_steps"), (ka, kb, table))
     else:
         scale = type_chain.phase2_time_scale(n, a, ns.c1)
-        table = type_chain.absorption_bound_table(n, a)
-        rows = [(ka, kb, value, bound)
-                for ka, (line, bounds_line) in enumerate(zip(table.tolist(),
-                                                              (scale * table).tolist()))
-                for kb, (value, bound) in enumerate(zip(line, bounds_line))]
-        _emit(ns, ("k_a", "k_b", "s_tilde", "bound"), rows,
+        table = type_chain.absorption_bound_table(n, a).ravel()
+        _emit(ns, ("k_a", "k_b", "s_tilde", "bound"), (ka, kb, table, scale * table),
               result={"scale": scale})
     return 0
 
 
 def cmd_lowerbound(ns) -> int:
+    from . import bounds
     profile = _profile_from(ns)
     threshold = ns.threshold if ns.threshold is not None \
         else bounds.suggested_threshold(profile.n)
@@ -201,18 +196,19 @@ def cmd_lowerbound(ns) -> int:
         ts = sorted({max(1, round(m * star)) for m in multiples})
     rows = bounds.lower_bound_sweep(profile, ts, threshold, ns.trials, ns.seed)
     _emit(ns, ("t", "threshold", "estimate", "stderr", "uniform_mass", "bound"),
-          rows, result={"theory_time": theory_time(profile)})
+          tuple(zip(*rows)), result={"theory_time": theory_time(profile)})
     return 0
 
 
 def cmd_conjecture(ns) -> int:
+    from . import type_chain
     rows = []
     for n in _list(ns.n_list, int):
         for c1 in _list(ns.c1_list, float):
             probe = type_chain.harmonic_probe(n, c1, ns.a)
             rows.append((n, c1, ns.a, probe["weighted_sum"],
                          probe["harmonic"], probe["ratio"]))
-    _emit(ns, ("n", "c1", "a", "weighted_sum", "harmonic", "ratio"), rows)
+    _emit(ns, ("n", "c1", "a", "weighted_sum", "harmonic", "ratio"), tuple(zip(*rows)))
     return 0
 
 

@@ -236,18 +236,23 @@ def distance_scan(op: TransitionOperator):
     distribution only past the furthest row an earlier scan reached.  Asking
     past t = theory_time(profile, SCAN_CAP_MULTIPLE) raises RuntimeError.
     """
-    cap = theory_time(op.profile, SCAN_CAP_MULTIPLE)
     t = 0
     while True:
         if t == len(op.scanned):
-            if t > cap:
-                raise RuntimeError(f"distance scan exceeded {cap} steps, "
-                                   f"{SCAN_CAP_MULTIPLE} times the theory time")
+            check_scan_steps(op.profile, t)
             op.scan_head = point_mass(op) if t == 0 else op.apply(op.scan_head)
             op.scanned.append((t, tv_distance(op.scan_head, op.sizes),
                                separation_distance(op.scan_head, op.sizes)))
         yield op.scanned[t]
         t += 1
+
+
+def check_scan_steps(profile: BiasProfile, t: int) -> None:
+    """Raise RuntimeError if step ``t`` is past theory_time(profile, SCAN_CAP_MULTIPLE)."""
+    cap = theory_time(profile, SCAN_CAP_MULTIPLE)
+    if t > cap:
+        raise RuntimeError(f"distance scan exceeded {cap} steps, "
+                           f"{SCAN_CAP_MULTIPLE} times the theory time")
 
 
 def check_eps(eps: float) -> float:

@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from biased_shuffle import cli, exact_analysis, marking, type_chain
+from biased_shuffle import exact_analysis, marking, type_chain
 from biased_shuffle.cli import build_parser, main, parse_header
 
 
@@ -138,12 +139,20 @@ class TestSmoke:
             ratio = float(line.split(",")[-1])
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
-    def test_stdout_mode(self, capsys):
+    def test_stdout_mode(self, capsys, tmp_path):
         assert main(["typechain", "--n", "1", "--mode", "rows"]) == 0
         omitted = capsys.readouterr().out
         assert omitted.startswith("# config ")
         assert main(["typechain", "--n", "1", "--mode", "rows", "--out", "-"]) == 0
         assert capsys.readouterr().out == omitted
+        # 66,049 rows span more than one of the writer's blocks
+        argv = ["typechain", "--n", "256", "--mode", "rows"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(stdout.splitlines()) == 2 + 257 ** 2
+        assert out.read_bytes() == stdout.encode()
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -155,16 +164,32 @@ class TestSmoke:
         assert read_header(str(out))["command"] == "exact"
 
 
+# Prints the engines and scipy modules loaded after importing the CLI, then
+# the engines loaded after an ``exact`` job.
+FOOTPRINT = """
+import json, os, sys
+import biased_shuffle.cli
+
+def loaded(names):
+    return sorted(m for m in sys.modules if m in names or m.split(".")[0] == "scipy")
+
+engines = {"biased_shuffle." + m for m in ("bounds", "marking", "type_chain")}
+print(json.dumps(loaded(engines)))
+assert biased_shuffle.cli.main(["exact", "--deck", "4", "--out", os.devnull]) == 0
+print(json.dumps(loaded(engines - {"biased_shuffle.type_chain"})))
+"""
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
-        # scipy is loaded only by the uniformity checks, inside them
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, biased_shuffle.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True)
+        # scipy is loaded only by the uniformity checks, inside them, and each
+        # subcommand imports only the engine it runs
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        after_import, after_exact = map(json.loads, proc.stdout.splitlines())
+        assert after_import == []
+        assert after_exact == []
 
 
 class TestReproducibility:
@@ -253,6 +278,19 @@ class TestExitCodes:
         assert main(["exact", "--deck", "8"] + flags) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exact_refuses_t_max_past_the_scan_cap_before_building(self, capsys):
+        # a range of 10**6 steps once went into a set before the scan's cap,
+        # 277 steps at deck 4 and a = 1, refused it
+        tracemalloc.start()
+        try:
+            code = main(["exact", "--deck", "4", "--t-max", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 4 * 2 ** 20
+        assert "distance scan exceeded 277 steps" in capsys.readouterr().err
+
     def test_exact_scan_stops_below_the_float_floor(self, capsys):
         # TV at deck 8, a = 0.5 never falls below about 5e-16, so no crossing
         # of 1e-20 comes and the scan stops at 100 times the theory time
@@ -294,13 +332,13 @@ class TestExitCodes:
         assert main(argv + ["--trials", "1"]) == 2
         out = capsys.readouterr()
         assert "NaN" not in out.out and "two trials" in out.err
-        bulk = cli.marking.bulk_marking_runs
+        bulk = marking.bulk_marking_runs
 
         def last_gap_constant(*args, **kwargs):
             result = bulk(*args, **kwargs)
             result.mark_times[:, -1] = result.mark_times[:, -2] + 1
             return result
-        monkeypatch.setattr(cli.marking, "bulk_marking_runs", last_gap_constant)
+        monkeypatch.setattr(marking, "bulk_marking_runs", last_gap_constant)
         assert main(argv + ["--trials", "50"]) == 2
         out = capsys.readouterr()
         assert "NaN" not in out.out and "gap 4 takes one value" in out.err
@@ -394,7 +432,7 @@ class TestExitCodes:
             assert out.out == "" and "threshold must lie in 1..2" in out.err
 
     def test_step_cap_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.marking, "default_step_cap", lambda deck: 2)
+        monkeypatch.setattr(marking, "default_step_cap", lambda deck: 2)
         assert main(["marking", "--deck", "4", "--trials", "10"]) == 4
         assert "exceeded 2 steps" in capsys.readouterr().err
 

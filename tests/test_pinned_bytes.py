@@ -221,6 +221,14 @@ TABLE_CLI = {
     "typechain-bound": (
         "typechain --mode bound".split(),
         "e780b03cd4424dd621d9ab7cf2fb512b71d98daa3922c10cddfc75694a66ed6e"),
+    # the small-deck-cli benchmark's typechain job
+    "typechain-absorption-n200": (
+        "typechain --mode absorption --n 200 -a 0.5".split(),
+        "607eb83532761b19eb382315c494c4df02e86924014e47cfdd5e6787fedf86a6"),
+    # 66,049 rows, more than one of the writer's blocks
+    "typechain-rows-n256": (
+        "typechain --mode rows --n 256 -a 0.77".split(),
+        "ccbdb058dc4ae0c0decb3057bc16e6bc1106f5e6bb8e81a15730453c0df4f32c"),
     "exact-deck6": (
         "exact --deck 6 -a 0.5".split(),
         "5df9ad6f792e101345f5ebf417372239f944a752a02d2be2a48cc7a78228ed5a"),
