@@ -18,12 +18,10 @@ thread settings.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Seed used by the command line tools when none is given.
-DEFAULT_SEED = 1729
 
 # Stream tags keep independent engines off each other's random streams.
 STREAM_WALK = 1
@@ -41,6 +39,10 @@ def stream_rng(seed: int, *path: int) -> np.random.Generator:
     can be re-created anywhere without coordination.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
+
+
+class CapacityError(ValueError):
+    """Requested size exceeds what an exact computation is allowed to materialise."""
 
 
 def check_bias(a: float) -> None:
@@ -82,6 +84,12 @@ class BiasProfile:
 def make_bias_profile(n: int, a: float) -> BiasProfile:
     """Validated constructor for :class:`BiasProfile`."""
     return BiasProfile(n=int(n), a=float(a))
+
+
+def theory_time(profile: BiasProfile, multiple: float = 1.0) -> int:
+    """Round multiple * (1/2a) N log N to an integer step count."""
+    deck = profile.deck_size
+    return max(1, round(multiple * deck * math.log(deck) / (2.0 * profile.a)))
 
 
 def hands_from_uniforms(profile: BiasProfile, u: np.ndarray) -> np.ndarray:

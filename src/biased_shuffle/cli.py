@@ -5,7 +5,8 @@ distance curves, ``simulate`` for walk samples of the fixed-count
 observable, ``marking`` for the two-phase marking engine, ``typechain``
 for the type-count chain tables, ``lowerbound`` for the coupon-collector
 TV bound, and ``conjecture`` for the weighted-diagonal harmonic probe.
-Each subcommand imports only the engine it runs.
+Nothing heavier than argparse and json loads before the arguments parse;
+each subcommand then imports numpy and only the modules its path runs.
 
 Every output starts with a one-line reproducibility header::
 
@@ -32,19 +33,9 @@ import math
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import __version__
-from .chain_core import DEFAULT_SEED, make_bias_profile
-from .exact_analysis import (
-    CapacityError,
-    build_operator,
-    check_eps,
-    check_scan_steps,
-    cutoff_profile,
-    mixing_time,
-    theory_time,
-)
+
+DEFAULT_SEED = 1729  # seed used by the command line tools when none is given
 
 # CSV rows formatted at a time, which bounds the writer's memory
 EMIT_BLOCK_ROWS = 1 << 16
@@ -59,6 +50,7 @@ def _list(value: str, cast) -> list:
 
 
 def _profile_from(ns) -> "BiasProfile":
+    from .chain_core import make_bias_profile
     if ns.deck < 2 or ns.deck % 2:
         raise ValueError("deck size must be a positive even number")
     return make_bias_profile(ns.deck // 2, ns.a)
@@ -72,6 +64,7 @@ def _header_params(ns) -> dict:
 
 def _emit(ns, names=(), columns=(), result=None, payload=None) -> None:
     """Write header line, optional result line, then equal-length CSV columns or a JSON payload."""
+    import numpy as np
     ctx = nullcontext(sys.stdout) if ns.out in (None, "-") else open(ns.out, "w", newline="")
     with ctx as fh:
         fh.write("# config " + json.dumps(_header_params(ns), sort_keys=True) + "\n")
@@ -102,6 +95,8 @@ def parse_header(line: str) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_exact(ns) -> int:
+    from .exact_analysis import (build_operator, check_eps, check_scan_steps,
+                                 cutoff_profile, mixing_time, theory_time)
     profile = _profile_from(ns)
     t_max = ns.t_max if ns.t_max is not None else 2 * theory_time(profile)
     if t_max < 0:
@@ -120,6 +115,7 @@ def cmd_exact(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    import numpy as np
     from . import bounds
     profile = _profile_from(ns)
     res = bounds.simulate_walks(profile, [ns.t], ns.trials, ns.seed)
@@ -130,6 +126,7 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_marking(ns) -> int:
+    import numpy as np
     from . import marking
     profile = _profile_from(ns)
     c1, trials, seed = ns.c1, ns.trials, ns.seed
@@ -160,6 +157,7 @@ def cmd_marking(ns) -> int:
 
 
 def cmd_typechain(ns) -> int:
+    import numpy as np
     from . import type_chain
     n, a = ns.n, ns.a
     if n < 1:
@@ -183,6 +181,7 @@ def cmd_typechain(ns) -> int:
 
 def cmd_lowerbound(ns) -> int:
     from . import bounds
+    from .chain_core import theory_time
     profile = _profile_from(ns)
     threshold = ns.threshold if ns.threshold is not None \
         else bounds.suggested_threshold(profile.n)
@@ -284,6 +283,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    from .chain_core import CapacityError  # numpy loads only once the arguments parse
     try:
         return ns.func(ns)
     except CapacityError as exc:

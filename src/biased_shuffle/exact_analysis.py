@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_core import BiasProfile
+from .chain_core import BiasProfile, CapacityError, theory_time
 
 # Largest deck build_operator lists: the orbit count grows with the deck,
 # 136,936 orbits at deck 18 and 530,404 at deck 20.
@@ -37,10 +37,6 @@ MAX_EXACT_DECK = 18
 # a in {0.05, 0.25, 0.5, 1}, TV and separation fall below 1e-12 by 21 t* and
 # reach their float floor by 28 t*, so a scan past the cap finds no crossing.
 SCAN_CAP_MULTIPLE = 100
-
-
-class CapacityError(ValueError):
-    """Requested size exceeds what an exact computation is allowed to materialise."""
 
 
 def encode_many(perms: np.ndarray) -> np.ndarray:
@@ -280,14 +276,11 @@ def mixing_time(op: TransitionOperator, eps: float,
 def cutoff_profile(op: TransitionOperator,
                    t_values) -> list[tuple[int, float, float]]:
     """The (t, tv, separation) rows at each requested step count, ascending in t."""
-    wanted = set(int(t) for t in t_values)
-    if wanted and min(wanted) < 0:
-        raise ValueError("t values must be non-negative")
+    wanted = set()
+    for t in map(int, t_values):  # checked as read, so a request past the cap fails at once
+        if t < 0:
+            raise ValueError("t values must be non-negative")
+        check_scan_steps(op.profile, t)
+        wanted.add(t)
     rows = itertools.islice(distance_scan(op), max(wanted, default=-1) + 1)
     return [row for row in rows if row[0] in wanted]
-
-
-def theory_time(profile: BiasProfile, multiple: float = 1.0) -> int:
-    """Round multiple * (1/2a) N log N to an integer step count."""
-    deck = profile.deck_size
-    return max(1, round(multiple * deck * math.log(deck) / (2.0 * profile.a)))

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import type_chain
 from .chain_core import BiasProfile, STREAM_MARKING, HandStream, stream_rng
-from .exact_analysis import check_capacity, encode_many
 
 
 def mark_threshold(deck: int, c1: float) -> int:
@@ -413,6 +412,7 @@ def uniformity_test(profile: BiasProfile, c1: float, trials: int, seed: int,
     Decks past MAX_EXACT_DECK are refused before N! is formed: their cells
     could never be filled, and past deck 20 the int64 ranks overflow.
     """
+    from .exact_analysis import check_capacity, encode_many  # loaded only by uniformity runs
     deck = profile.deck_size
     check_capacity(deck)
     cells = math.factorial(deck)

@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain_core import check_bias, stream_rng, STREAM_TYPECHAIN
-from .exact_analysis import CapacityError
+from .chain_core import CapacityError, check_bias, stream_rng, STREAM_TYPECHAIN
 
 # Largest n whose (n + 1)^2 grid the tables are built on.  A table holds about
 # 64 bytes per cell while it is built: at n = 1024 it takes about 0.5 s and

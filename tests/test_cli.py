@@ -1,6 +1,7 @@
 """Command line front end: smoke runs, headers, option inventory, exit codes."""
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -164,32 +165,64 @@ class TestSmoke:
         assert read_header(str(out))["command"] == "exact"
 
 
-# Prints the engines and scipy modules loaded after importing the CLI, then
-# the engines loaded after an ``exact`` job.
+# Imports the CLI, runs ``main`` on the JSON argument list (if not null), and
+# prints the exit code, the package modules loaded, whether numpy is loaded
+# and the scipy modules loaded.
 FOOTPRINT = """
-import json, os, sys
+import json, sys
 import biased_shuffle.cli
-
-def loaded(names):
-    return sorted(m for m in sys.modules if m in names or m.split(".")[0] == "scipy")
-
-engines = {"biased_shuffle." + m for m in ("bounds", "marking", "type_chain")}
-print(json.dumps(loaded(engines)))
-assert biased_shuffle.cli.main(["exact", "--deck", "4", "--out", os.devnull]) == 0
-print(json.dumps(loaded(engines - {"biased_shuffle.type_chain"})))
+argv, code = json.loads(sys.argv[1]), None
+if argv is not None:
+    try:
+        code = biased_shuffle.cli.main(argv)
+    except SystemExit as exc:  # --help, --version and usage errors
+        code = exc.code
+top = lambda name: sorted(m for m in sys.modules if m.split(".")[0] == name)
+print(json.dumps([code, top("biased_shuffle"), "numpy" in sys.modules, top("scipy")]))
 """
+
+OUT = ["--out", os.devnull]
+CLI_ONLY = {"biased_shuffle", "biased_shuffle.cli"}
+CORE = CLI_ONLY | {"biased_shuffle.chain_core"}
+TYPE_CHAIN = CORE | {"biased_shuffle.type_chain"}
+MARKING = TYPE_CHAIN | {"biased_shuffle.marking"}
+BOUNDS = CORE | {"biased_shuffle.bounds"}
+EXACT = CORE | {"biased_shuffle.exact_analysis"}
 
 
 class TestStartup:
-    def test_import_loads_no_scipy(self):
-        # scipy is loaded only by the uniformity checks, inside them, and each
-        # subcommand imports only the engine it runs
-        proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+    # (argv, exit code, package modules, numpy loaded, scipy loaded): nothing
+    # but the CLI loads before the arguments parse, each job loads only the
+    # modules its path runs, and scipy loads only for the uniformity test
+    @pytest.mark.parametrize("argv,code,modules,numpy,scipy", [
+        pytest.param(None, None, CLI_ONLY, False, False, id="import"),
+        pytest.param(["--version"], 0, CLI_ONLY, False, False, id="version"),
+        pytest.param(["--help"], 0, CLI_ONLY, False, False, id="help"),
+        pytest.param(["marking", "--deck", "x"], 2, CLI_ONLY, False, False, id="usage-error"),
+        pytest.param(["exact", "--deck", "4", *OUT], 0, EXACT, True, False, id="exact"),
+        pytest.param(["typechain", "--n", "3", *OUT], 0, TYPE_CHAIN, True, False,
+                     id="typechain"),
+        pytest.param(["conjecture", "--n-list", "4", *OUT], 0, TYPE_CHAIN, True, False,
+                     id="conjecture"),
+        pytest.param(["marking", "--deck", "4", "--trials", "20", *OUT], 0, MARKING, True,
+                     False, id="marking-runs"),
+        pytest.param(["marking", "--mode", "uniformity", "--deck", "2", "--trials", "200",
+                      *OUT], 0, MARKING | EXACT, True, True, id="marking-uniformity"),
+        pytest.param(["simulate", "--deck", "4", "--t", "3", "--trials", "10", *OUT], 0,
+                     BOUNDS, True, False, id="simulate"),
+        pytest.param(["lowerbound", "--deck", "4", "--trials", "100", *OUT], 0, BOUNDS,
+                     True, False, id="lowerbound"),
+    ])
+    def test_loaded_modules(self, argv, code, modules, numpy, scipy):
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        after_import, after_exact = map(json.loads, proc.stdout.splitlines())
-        assert after_import == []
-        assert after_exact == []
+        got_code, got_modules, got_numpy, got_scipy = json.loads(proc.stdout.splitlines()[-1])
+        assert (got_code, set(got_modules), got_numpy) == (code, modules, numpy)
+        if scipy:
+            assert "scipy.special" in got_scipy and "scipy.stats" not in got_scipy
+        else:
+            assert got_scipy == []
 
 
 class TestReproducibility:

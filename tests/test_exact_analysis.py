@@ -7,6 +7,7 @@ transition matrix of ``_reference``.
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,19 @@ class TestDistances:
     def test_cutoff_profile_rejects_negative_t(self):
         with pytest.raises(ValueError):
             cutoff_profile(build_operator(make_bias_profile(2, 0.5)), [-1])
+
+    def test_cutoff_profile_refuses_past_the_cap_as_it_reads(self):
+        # the scan's cap at deck 2, a = 1 is 69 steps, so a request for 10**6
+        # steps is refused at its 70th value, before the rest is held anywhere
+        op = build_operator(make_bias_profile(1, 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="distance scan exceeded 69 steps"):
+                cutoff_profile(op, range(10 ** 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestScan:
