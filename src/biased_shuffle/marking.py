@@ -217,6 +217,12 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     deck - k.  The step narrows the batch by those tests, cheapest first,
     and looks up the few rows left.
 
+    The batch size, the rows' flat offsets and the flat views of ``pos_of``
+    and the marked set change only when finished runs are compacted away,
+    so the loop keeps them between compactions.  A step looks for runs
+    entering phase two only while some run is in phase one, and for
+    finished runs only while some run is in phase two or ceil(c1 N) = N.
+
     A ``census`` sees only the chain's state: after each step's marks and
     moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
     with the marked count and marked type-A count of every uncompacted row
@@ -240,11 +246,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         state = np.zeros(trials, dtype=np.int64)  # mask * deck**2
     else:
         marked = np.zeros((trials, deck), dtype=bool)
+        flat_marked = marked.reshape(-1)
         k = np.zeros(trials, dtype=np.int16)
     orig = np.arange(trials, dtype=np.int64)
     # pos_of and marked stay C-contiguous through compaction: card c of run i
     # sits at flat offset i * deck + c of both
     row_base = np.arange(trials, dtype=np.int64) * deck
+    batch, base, flat_pos = trials, row_base, pos_of.reshape(-1)  # reset at compaction
     no_coins = np.zeros(trials)  # always_mark's coins: every num > 0, so 0 * den < num
     live2 = done = 0  # runs in phase two; finished runs not yet compacted away
 
@@ -266,19 +274,17 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         return k.copy(), _type_a_marks(marked, n)
 
     t = 0
-    while pos_of.shape[0]:
+    while batch:
         t += 1
         if t > cap:
             raise RuntimeError(f"batched marking exceeded {cap} steps; "
-                               f"{pos_of.shape[0]} runs unfinished")
-        batch = pos_of.shape[0]
+                               f"{batch} runs unfinished")
         coins, hands = stream.take(3 * batch, 2 * batch)
         pair = hands.reshape(2, batch)
-        right, left = pair
+        right, left = hands[:batch], hands[batch:]
         u_acc = no_coins[:batch] if always_mark else coins
 
-        offsets = pair + row_base[:batch]
-        flat_pos = pos_of.reshape(-1)
+        offsets = pair + base
         held = flat_pos[offsets]
         flat_pos[offsets] = held[::-1]
         if census is not None:
@@ -296,9 +302,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             idx = ok.nonzero()[0]
             k_now = k_of[state[idx]]
         else:
-            flat_marked = marked.reshape(-1)
-            m_r, m_l = flat_marked[offsets]
-            w_r, w_l = wt[pair]
+            held_marks, weights = flat_marked[offsets], wt[pair]
+            m_r, m_l = held_marks[0], held_marks[1]
+            w_r, w_l = weights[0], weights[1]
             # phase masks are needed only on steps where both phases hold runs
             split = 0 < live2 < batch
             if split:
@@ -356,30 +362,32 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             idx = gets.nonzero()[0]
             cards = gain[idx]
             if idx.size:
-                flat_marked[row_base[idx] + cards] = True
+                flat_marked[base[idx] + cards] = True
                 if live2:
                     moved = move[idx]
                     if moved.any():
                         # a move unmarks its other hand, the marked one
                         vidx = idx[moved]
                         src = right[vidx] + left[vidx] - cards[moved]
-                        flat_marked[row_base[vidx] + src] = False
+                        flat_marked[base[vidx] + src] = False
                         idx = idx[~moved]
             k_now = k[idx] + 1
             k[idx] = k_now
 
         if idx.size:
-            enter = idx[k_now == threshold]
-            if enter.size:
-                out_tp1[orig[enter]] = t
-                live2 += enter.size
+            if live2 < batch:
+                enter = idx[k_now == threshold]
+                if enter.size:
+                    out_tp1[orig[enter]] = t
+                    live2 += enter.size
             if out_times is not None:
                 out_times[orig[idx], k_now.astype(np.int64)] = t
-            fin = idx[k_now == deck]
-            if fin.size:
-                out_tfull[orig[fin]] = t
-                out_decks[orig[fin][:, None], pos_of[fin]] = labels
-                done += fin.size
+            if live2 or threshold == deck:
+                fin = idx[k_now == deck]
+                if fin.size:
+                    out_tfull[orig[fin]] = t
+                    out_decks[orig[fin][:, None], pos_of[fin]] = labels
+                    done += fin.size
 
         if census is not None:
             census.record(threshold, *before, *counts())
@@ -393,9 +401,11 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 keep = np.flatnonzero(k < deck)
                 marked = marked[keep]
                 k = k[keep]
+                flat_marked = marked.reshape(-1)
             pos_of = pos_of[keep]
             orig = orig[keep]
             live2, done = live2 - done, 0
+            batch, base, flat_pos = keep.size, row_base[:keep.size], pos_of.reshape(-1)
 
     return BulkMarkingResult(
         decks=out_decks, t_phase1=out_tp1, t_full=out_tfull, mark_times=out_times)

@@ -24,10 +24,12 @@ deck-256 digests pin the engine at the batch size of the ``marking-deck256``
 benchmark workload; they were taken before the pair lookup was limited by
 its rank bound.  The ``deck32-split-steps`` digest and the
 ``uniform_fixed_pmf`` digests were taken before marks and moves shared one
-update and before the fixed-point law stopped at its underflow.  So a
-change that alters a random draw, its order, any marking decision or any
-floating-point operation order shows up here even when every statistical
-check still passes.  Update a digest only for a change that is meant to
+update and before the fixed-point law stopped at its underflow.  The two
+``phase-one-finishes`` digests, where ceil(c1 N) = N, were taken before the
+batched step began to skip its phase-entry and finish tests on steps where
+no run can pass them.  So a change that alters a random draw, its order,
+any marking decision or any floating-point operation order shows up here
+even when every statistical check still passes.  Update a digest only for a change that is meant to
 alter outputs, and say so where the change is recorded.
 """
 import hashlib
@@ -121,6 +123,14 @@ BULK = {
     "deck32-split-steps": (
         dict(n=16, a=0.25, c1=0.6, trials=500, seed=4246, record_mark_times=True),
         "91753af4fcd6962350ceb9f76186f60f1d94fceb4db851c560899a26be4accd2"),
+    # ceil(c1 N) = N: every run finishes at its last phase-one mark, so no
+    # run is ever in phase two
+    "deck10-phase-one-finishes": (
+        dict(n=5, a=0.5, c1=0.95, trials=300, seed=15, record_mark_times=True),
+        "17a2cb918572c883127f61d1fc06467ae02fbdda2376ee8a3d846abdd8e90d6b"),
+    "deck8-phase-one-finishes": (
+        dict(n=4, a=0.5, c1=0.95, trials=500, seed=16),
+        "d0f9325f7f721b6e2241f256e7f135e4408e7ce75d5e944a97fa9b566160a4c6"),
 }
 
 SCALAR = {
@@ -304,6 +314,15 @@ def test_bulk_engine_bytes_on_the_inline_step(monkeypatch, name):
     monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 0)
     kwargs, expected = BULK[name]
     assert bulk_digest(**kwargs) == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in BULK if "phase-one-finishes" in name))
+def test_phase_one_finishes_cases_stay_in_phase_one(name):
+    kwargs = dict(BULK[name][0])
+    n, a, c1, trials, seed = (kwargs.pop(key) for key in ("n", "a", "c1", "trials", "seed"))
+    res = bulk_marking_runs(make_bias_profile(n, a), c1, trials, seed, **kwargs)
+    assert marking.mark_threshold(2 * n, c1) == 2 * n
+    assert (res.t_phase1 == res.t_full).all()
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR))
