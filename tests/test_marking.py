@@ -375,6 +375,15 @@ def oracle_step(profile, c1, mask, right, left, coin):
     return sum(1 << c for c in range(deck) if ms.marked[c]), rules
 
 
+@pytest.fixture
+def tables_to_deck12(monkeypatch):
+    """Let :func:`marking.step_table` build decks up to 12, past its cap of 8,
+    and drop the cached tables afterwards so that the cap holds again."""
+    monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 12)
+    yield
+    marking.step_table.cache_clear()
+
+
 class TestStepTable:
     """The precomputed step against the scalar oracle, row by row."""
 
@@ -407,6 +416,14 @@ class TestStepTable:
     def test_sampled_deck8_rows_match_the_scalar_oracle(self, a, c1):
         keys = stream_rng(8, 75).integers(0, 2**8 * 8**2, 1_500)
         self.check_rows(make_bias_profile(4, a), c1, keys.tolist())
+
+    @pytest.mark.parametrize("a,c1", [(0.25, 0.75), (0.5, 0.6), (1.0, 0.9)])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sampled_rows_past_the_cap_match_the_scalar_oracle(self, tables_to_deck12,
+                                                               n, a, c1):
+        deck = 2 * n
+        keys = stream_rng(deck, 75).integers(0, 2**deck * deck**2, 1_500)
+        self.check_rows(make_bias_profile(n, a), c1, keys.tolist())
 
     def test_refuses_decks_past_the_cap(self):
         with pytest.raises(ValueError, match="step table cap"):
@@ -502,10 +519,12 @@ class TestBulkEngine:
 
     @pytest.mark.parametrize("always_mark", [False, True])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_step_table_and_inline_step_agree(self, monkeypatch, n, a, always_mark):
-        # decks up to STEP_TABLE_MAX_DECK read the step table; a cap of 0 sends
-        # them through the inline step, which must give the same bytes
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_step_table_and_inline_step_agree(self, monkeypatch, tables_to_deck12,
+                                              n, a, always_mark):
+        # decks up to STEP_TABLE_MAX_DECK, raised here to 12, read the step
+        # table; a cap of 0 sends them through the inline step, which must
+        # give the same bytes
         profile = make_bias_profile(n, a)
         runs, censuses = [], []
         for cap in (marking.STEP_TABLE_MAX_DECK, 0):

@@ -27,7 +27,9 @@ its rank bound.  The ``deck32-split-steps`` digest and the
 update and before the fixed-point law stopped at its underflow.  The two
 ``phase-one-finishes`` digests, where ceil(c1 N) = N, were taken before the
 batched step began to skip its phase-entry and finish tests on steps where
-no run can pass them.  So a change that alters a random draw, its order,
+no run can pass them.  The ``step_table`` digests were taken before the
+table and the inline step came to share one statement of the step's
+rules.  So a change that alters a random draw, its order,
 any marking decision or any floating-point operation order shows up here
 even when every statistical check still passes.  Update a digest only for a change that is meant to
 alter outputs, and say so where the change is recorded.
@@ -244,6 +246,12 @@ TABLE_CLI = {
         "5df9ad6f792e101345f5ebf417372239f944a752a02d2be2a48cc7a78228ed5a"),
 }
 
+# (a, c1): the deck-8 step table, all five arrays
+STEP_TABLE = {
+    (0.5, 0.6): "6eaff1179d2da78dbccdef5656fa49d33b4f29c62029271f058ccebf6817cc1d",
+    (0.25, 0.9): "7adff859507af35c6074e7d97549aae800c544c3c851ad6a171b74fcc37e80af",
+}
+
 # Walk trials run in blocks of 4096 with one stream per block, so the first
 # case spans two blocks.
 WALK = {
@@ -323,6 +331,12 @@ def test_phase_one_finishes_cases_stay_in_phase_one(name):
     res = bulk_marking_runs(make_bias_profile(n, a), c1, trials, seed, **kwargs)
     assert marking.mark_threshold(2 * n, c1) == 2 * n
     assert (res.t_phase1 == res.t_full).all()
+
+
+@pytest.mark.parametrize("a,c1", sorted(STEP_TABLE))
+def test_step_table_bytes(a, c1):
+    table = marking.step_table(make_bias_profile(4, a), marking.mark_threshold(8, c1))
+    assert _digest(*table) == STEP_TABLE[a, c1]
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR))
