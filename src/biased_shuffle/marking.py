@@ -20,19 +20,21 @@ lowest marked card of type X and the j-th other marked card.  The engine
 looks a draw up through the inverse of that rule, :func:`assigned_card`, so
 no assignment is stored or rebuilt.  Each acceptance probability is stated
 once as a (numerator, denominator) rule of hand weights; triggers 1 to 3
-share :func:`mixed_rule`.
+share :func:`mixed_rule`.  Which rule a draw meets, and whether a rejection
+moves a mark, is stated once too, by :func:`_step_rules` over a batch of rows.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
 trajectories as numpy rows.  The deck alone picks the form of its step.  Up
 to STEP_TABLE_MAX_DECK cards a run keeps its card positions and one integer
-for its marked set, and each step is read from :func:`step_table`, the whole
-step precomputed from the rules over every (marked set, R, L).  Above that a
-run keeps its card positions, marked set and marked count, and the step
-applies the rules to the batch inline.  Both forms write a run's deck once,
-when the run finishes, and draw from one stream derived from (seed, tag), so
-the output is the same deterministic function of (seed, trials) in either
-form.  The tests check it against a scalar per-trajectory engine and an
-exact dynamic program over (deck, marked set), both built on the same rules.
+for its marked set, and each step is read from :func:`step_table`, which runs
+:func:`_step_rules` once over every (marked set, R, L).  Above that a run
+keeps its card positions, marked set and marked count, and each step runs
+:func:`_step_rules` on the batch and applies its coins.  Both forms write a
+run's deck once, when the run finishes, and draw from one stream derived from
+(seed, tag), so the output is the same deterministic function of (seed,
+trials) in either form.  The tests check it against a scalar per-trajectory
+engine and an exact dynamic program over (deck, marked set), both built on
+the same acceptance rules.
 """
 from __future__ import annotations
 
@@ -112,6 +114,69 @@ def default_step_cap(deck: int) -> int:
     return math.ceil(1e4 * deck * max(math.log(deck), 1.0))
 
 
+def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l, in2):
+    """The rules that a batch of rows meets on its draw: (ok, move, num, den, gain).
+
+    A row accepts when its coin has ``u * den < num``.  An accepting ``ok`` or
+    ``move`` row marks ``gain``, and a ``move`` row that rejects moves its
+    other hand's mark onto ``gain`` instead; no row is both, and ``num`` and
+    ``den`` hold rule values only on rows that are either.  Each row gives
+    its marked set (``marked``, shape (rows, deck)), marked count ``k``, hands,
+    their marks and weights, and ``in2``, its phase-two flag; ``in2`` is one
+    bool when every row is in the same phase.  No input is written to.
+
+    A pair draw (R, L) can hit an assigned card only when L is marked and at
+    most 2 (deck - k), the rank bound of :func:`assigned_card`, and R is
+    marked, other than L and the lowest mark of its type, so that every label
+    of its type below it is unmarked and its index within the type is at most
+    deck - k.  The rows are narrowed by those tests, cheapest first, and only
+    the few left are looked up.
+    """
+    a, n = profile.a, profile.n
+    if in2 is not True:
+        # phase one marks R when both hands are unmarked
+        ok = ~(m_r | m_l) if in2 is False else ~(m_r | m_l | in2)
+        num, den = phase1_rule(a, w_r, w_l)
+        if in2 is False:
+            return ok, False, num, den, right
+    # phase two with one unmarked hand, R = L on a solo draw where w_r = w_l:
+    # mark it, or on a rejected mixed draw move the other hand's mark onto
+    # it; a phase-one solo draw is already ok, with phase one's rule
+    move = m_r != m_l
+    solo = (right == left) & ~m_r
+    num2, den2 = mixed_rule(a, np.where(m_r, w_r, w_l))
+    if in2 is True:
+        ok, num, den = solo, num2, den2
+    else:
+        move &= in2
+        ok |= solo
+        num, den = np.where(in2, num2, num), np.where(in2, den2, den)
+    gain = np.where(m_r, left, right)
+    # phase two with distinct marked hands: mark their assigned card, if any
+    room = 2 * n - k
+    cand = (m_l & (left - room <= room)).nonzero()[0]
+    if cand.size:
+        r = right[cand]
+        hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
+        if in2 is not True:
+            hit &= in2[cand]
+        cand, r = cand[hit], r[hit]
+    if cand.size:
+        # every candidate's R is marked, so R is the lowest mark of its type
+        # exactly when its block's first mark is R
+        blocks = marked[cand].reshape(-1, 2, n)[np.arange(cand.size), r // n]
+        cand = cand[blocks.argmax(axis=1) == r % n]
+    if cand.size:
+        u = assigned_card(marked[cand], n, right[cand], left[cand])
+        hit = u >= 0
+        cand, u = cand[hit], u[hit]
+        num = np.full(ok.shape, num)
+        num[cand], den[cand] = pair_rule(a, profile.weights()[u], w_r[cand], w_l[cand])
+        ok[cand] = True
+        gain[cand] = u
+    return ok, move, num, den, gain
+
+
 # Largest deck whose marking step reads :func:`step_table`: 2**8 marked sets
 # times 8**2 hand pairs make 16,384 rows.
 STEP_TABLE_MAX_DECK = 8
@@ -122,13 +187,14 @@ def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
     """The marking step over every (marked set, R, L): (num, den, moves, k, ka).
 
     Row key = mask * N**2 + R * N + L (N = deck; bit c of mask set when card
-    c is marked) accepts its draw when ``u * den < num``, from the rules;
-    ``moves[key, accepted]`` is the next state, mask * N**2 of the next
-    marked set; ``k`` and ``ka`` count the mask's marked and marked type-A
-    cards.  Rows that cannot mark have ``num`` 0, so an acceptance always
-    adds a mark.  Built on first use and cached for the last few tables.
+    c is marked) accepts its draw when ``u * den < num``, by
+    :func:`_step_rules` run once over every row; ``moves[key, accepted]`` is
+    the next state, mask * N**2 of the next marked set; ``k`` and ``ka``
+    count the mask's marked and marked type-A cards.  Rows that meet no rule
+    have ``num`` 0 and ``den`` 1, so an acceptance always adds a mark.  Built
+    on first use and cached for the last few tables.
     """
-    n, deck, a = profile.n, profile.deck_size, profile.a
+    n, deck = profile.n, profile.deck_size
     if deck > STEP_TABLE_MAX_DECK:
         raise ValueError(f"deck {deck} is over the step table cap of {STEP_TABLE_MAX_DECK}")
     wt = profile.weights()
@@ -137,28 +203,13 @@ def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
     marked = (mask[:, None] >> np.arange(deck)) & 1 == 1
     k = np.count_nonzero(marked, axis=1)
     m_r, m_l = (mask >> right) & 1 == 1, (mask >> left) & 1 == 1
-    w_r, w_l = wt[right], wt[left]
-    num, den = np.zeros(mask.size), np.ones(mask.size)
-    acc, rej = mask.copy(), mask.copy()
-    # phase one marks R when both hands are unmarked
-    one = (k < threshold) & ~m_r & ~m_l
-    num[one], den[one] = phase1_rule(a, w_r[one], w_l[one])
-    acc[one] |= 1 << right[one]
-    # phase two with one unmarked hand (a solo draw counts): mark it, and a
-    # rejected mixed draw moves the other hand's mark onto it
-    two = k >= threshold
-    mixed = two & (m_r != m_l)
-    free = mixed | (two & (right == left) & ~m_r)
-    num[free], den[free] = mixed_rule(a, np.where(m_r, w_r, w_l)[free])
-    acc[free] |= 1 << np.where(m_r, left, right)[free]
-    rej[mixed] ^= (1 << right[mixed]) | (1 << left[mixed])
-    # phase two with distinct marked hands: mark their assigned card, if any
-    pair = (two & m_r & m_l & (right != left)).nonzero()[0]
-    u = assigned_card(marked[pair], n, right[pair], left[pair])
-    pair, u = pair[u >= 0], u[u >= 0]
-    num[pair], den[pair] = pair_rule(a, wt[u], w_r[pair], w_l[pair])
-    acc[pair] |= 1 << u
-    table = (num, den, np.stack((rej, acc), axis=1) * deck**2, k,
+    ok, move, num, den, gain = _step_rules(profile, marked, k, right, left, m_r, m_l,
+                                           wt[right], wt[left], k >= threshold)
+    ok |= move
+    acc = np.where(ok, mask | 1 << gain, mask)
+    rej = np.where(move, mask ^ (1 << right | 1 << left), mask)
+    table = (np.where(ok, num, 0.0), np.where(ok, den, 1.0),
+             np.stack((rej, acc), axis=1) * deck**2, k,
              np.count_nonzero(marked[:, :n], axis=1))
     for part in table:
         part.flags.writeable = False
@@ -177,21 +228,6 @@ class BulkMarkingResult:
     mark_times: np.ndarray | None = None       # (trials, N + 1)
 
 
-def _type_a_marks(marked: np.ndarray, n: int) -> np.ndarray:
-    """Marked type-A cards per row, as intp.
-
-    Summed by uint8 matrix-vector products over at most 255 columns each, so
-    no product wraps; at small decks that is about four times faster than
-    ``np.count_nonzero(..., axis=1)`` over the strided slice.
-    """
-    flags = marked[:, :n].view(np.uint8)
-    ones = np.ones(min(n, 255), dtype=np.uint8)
-    count = np.zeros(len(flags), dtype=np.intp)
-    for j in range(0, n, 255):
-        count += flags[:, j:j + 255] @ ones[:n - j]
-    return count
-
-
 def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       *, always_mark: bool = False,
                       record_mark_times: bool = False,
@@ -204,18 +240,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     R * deck + L, then the next state by the coin ``u * den < num``.
 
     Above that each run keeps ``pos_of``, the marked set and the marked
-    count ``k``, and the step applies the rules inline.  Marks only add
-    to ``k``, so a run is in phase two exactly while ``k >= threshold``, and
-    a run's deck is written once, as the inverse of its ``pos_of`` row, when
-    it finishes.  Marks and moves share one update: each run yields the card
-    it gains this step, by a new mark or a moved one, and one scatter marks
-    them all; then a move unmarks its source and a mark bumps ``k``.  A pair
-    draw (R, L) can hit an assigned card only when L is marked and at most
-    2 (deck - k), the rank bound of :func:`assigned_card`, and R is marked,
-    other than L and the lowest mark of its type, so that every label of its
-    type below it is unmarked and its index within the type is at most
-    deck - k.  The step narrows the batch by those tests, cheapest first,
-    and looks up the few rows left.
+    count ``k``, and a step runs :func:`_step_rules` on the batch and flips
+    each row's coin ``u * den < num``.  Marks only add to ``k``, so a run is
+    in phase two exactly while ``k >= threshold``, and a run's deck is
+    written once, as the inverse of its ``pos_of`` row, when it finishes.
+    Marks and moves share one update: each run yields the card it gains this
+    step, by a new mark or a moved one, and one scatter marks them all; then
+    a move unmarks its source and a mark bumps ``k``.
 
     The batch size, the rows' flat offsets and the flat views of ``pos_of``
     and the marked set change only when finished runs are compacted away,
@@ -230,7 +261,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     """
     n = profile.n
     deck = profile.deck_size
-    a = profile.a
     threshold = mark_threshold(deck, c1)
     cap = default_step_cap(deck)
     if trials < 1:
@@ -263,15 +293,11 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
     wt = profile.weights()
 
-    def coin(u, rule):
-        num, den = rule
-        return u * den < num
-
     def counts():
         """Every row's marked count and marked type-A count, for the census."""
         if tabled:
             return k_of[state], ka_of[state]
-        return k.copy(), _type_a_marks(marked, n)
+        return k.copy(), np.count_nonzero(marked[:, :n], axis=1)
 
     t = 0
     while batch:
@@ -302,59 +328,18 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             idx = ok.nonzero()[0]
             k_now = k_of[state[idx]]
         else:
+            # phase flags are needed only on steps where both phases hold runs
+            in2 = k >= threshold if 0 < live2 < batch else live2 > 0
             held_marks, weights = flat_marked[offsets], wt[pair]
-            m_r, m_l = held_marks[0], held_marks[1]
-            w_r, w_l = weights[0], weights[1]
-            # phase masks are needed only on steps where both phases hold runs
-            split = 0 < live2 < batch
-            if split:
-                in2 = k >= threshold
-
+            ok, move, num, den, gain = _step_rules(
+                profile, marked, k, right, left, held_marks[0], held_marks[1],
+                weights[0], weights[1], in2)
             # gets marks the runs that gain a marked card this step, by a new
-            # mark or a moved one, and gain holds that card where gets is set;
-            # each phase's rules run only on steps where some run is in that phase
-            if live2 < batch:
-                acc1 = ~(m_r | m_l | in2) if split else ~(m_r | m_l)
-                acc1 &= coin(u_acc, phase1_rule(a, w_r, w_l))
-                gets, gain = acc1, right
+            # mark or a moved one
+            acc = u_acc * den < num
+            gets = acc & ok
             if live2:
-                mixed = m_r != m_l
-                solo = (right == left) & ~m_r
-                if split:
-                    mixed &= in2
-                    solo &= in2
-                # the unmarked hand, which is the right hand of a phase-one
-                # mark; on a solo draw w_r = w_l, so one mixed_rule coin of
-                # a / w(u) serves both draw kinds
-                gain = np.where(m_r, left, right)
-                ok = coin(u_acc, mixed_rule(a, np.where(m_r, w_r, w_l)))
-                # a mixed draw either marks its free hand or moves the mark to it
-                move = mixed & ~ok
-                gets = mixed | (solo & ok)
-                if split:
-                    gets |= acc1
-                # a pair can hit only if L is marked with L - (deck - k) <=
-                # deck - k and R is marked, other than L, at index at most
-                # deck - k within its type and below every other mark of its type
-                room = deck - k
-                cand = (m_l & (left - room <= room)).nonzero()[0]
-                if cand.size:
-                    r = right[cand]
-                    hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
-                    if split:
-                        hit &= in2[cand]
-                    cand, r = cand[hit], r[hit]
-                    if cand.size:
-                        # every candidate's R is marked, so R is the lowest mark
-                        # of its type exactly when its block's first mark is R
-                        blocks = marked[cand].reshape(-1, 2, n)[np.arange(cand.size), r // n]
-                        cand = cand[blocks.argmax(axis=1) == r % n]
-                    if cand.size:
-                        u = assigned_card(marked[cand], n, right[cand], left[cand])
-                        ok4 = (u >= 0) & coin(u_acc[cand],
-                                              pair_rule(a, wt[u], w_r[cand], w_l[cand]))
-                        gets[cand[ok4]] = True
-                        gain[cand[ok4]] = u[ok4]
+                gets |= move
 
             # one update serves marks and moves: the gained card is marked (the
             # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
@@ -364,9 +349,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             if idx.size:
                 flat_marked[base[idx] + cards] = True
                 if live2:
-                    moved = move[idx]
+                    # a gaining row that rejected is a move, which unmarks
+                    # its other hand, the marked one
+                    moved = ~acc[idx]
                     if moved.any():
-                        # a move unmarks its other hand, the marked one
                         vidx = idx[moved]
                         src = right[vidx] + left[vidx] - cards[moved]
                         flat_marked[base[vidx] + src] = False

@@ -3,12 +3,14 @@ import ast
 from pathlib import Path
 
 REFERENCE = Path(__file__).with_name("_reference.py")
+HELPERS = Path(__file__).with_name("_helpers.py")
 
 # Fast paths that tests/_reference.py stands in for as an oracle.
 FAST_PATHS = frozenset({
     "assigned_card",
     "bulk_marking_runs",
     "step_table",
+    "_step_rules",
     "hands_from_uniforms",
     "HandStream",
     "build_operator",
@@ -49,6 +51,13 @@ def test_checker_flags_fast_path_imports():
 
 def test_reference_imports_no_fast_path():
     assert fast_paths_used(REFERENCE.read_text()) == set()
+
+
+def test_scalar_engine_states_the_step_without_the_batched_rules():
+    # the scalar engine in tests/_helpers.py is the oracle that the step
+    # table is checked against row by row, so it must not reach the table
+    # or the batched statement of the step that the table is built from
+    assert fast_paths_used(HELPERS.read_text()) & {"step_table", "_step_rules"} == set()
 
 
 ROOT = Path(__file__).resolve().parents[1]
