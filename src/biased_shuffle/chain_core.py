@@ -8,12 +8,12 @@ unordered transposition {i, j} is applied with probability 2 p_i p_j and the
 deck stays put with probability sum_i p_i^2.
 
 Randomness policy: every Monte Carlo consumer derives its generators through
-``stream_rng`` from (seed, stream tag, ...), and its outputs are a function
-of every argument, ``trials`` included: the marking engine draws all runs
-from one stream, a step's draws sized by the runs still open, and the walk
-uses one stream per ``DEFAULT_BLOCK_SIZE`` trials, so trial i is not a
-function of (seed, i) alone.  Nothing depends on ``HAND_BLOCK`` or on
-thread settings.
+``stream_rng``, one PCG64DXSM stream per (seed, stream tag, ...), and its
+outputs are a function of every argument, ``trials`` included: the marking
+engine draws all runs from one stream, a step's draws sized by the runs
+still open, and the walk uses one stream per ``DEFAULT_BLOCK_SIZE`` trials,
+so trial i is not a function of (seed, i) alone.  Nothing depends on
+``HAND_BLOCK`` or on thread settings.
 """
 from __future__ import annotations
 
@@ -33,12 +33,12 @@ MAX_DECK = int(np.iinfo(np.int16).max)
 
 
 def stream_rng(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based generator derived from (seed, path).
+    """PCG64DXSM generator seeded by ``SeedSequence([seed, *path])``.
 
     Distinct paths give statistically independent streams, so a generator
     can be re-created anywhere without coordination.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, *path])))
 
 
 class CapacityError(ValueError):

@@ -182,7 +182,6 @@ def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l
 STEP_TABLE_MAX_DECK = 8
 
 
-@functools.lru_cache(maxsize=8)
 def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
     """The marking step over every (marked set, R, L): (num, den, moves, k, ka).
 
@@ -192,11 +191,18 @@ def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
     the next state, mask * N**2 of the next marked set; ``k`` and ``ka``
     count the mask's marked and marked type-A cards.  Rows that meet no rule
     have ``num`` 0 and ``den`` 1, so an acceptance always adds a mark.  Built
-    on first use and cached for the last few tables.
+    on first use and cached for the last few tables; the cap is checked on
+    every call, before the cache is read.
     """
+    if profile.deck_size > STEP_TABLE_MAX_DECK:
+        raise ValueError(f"deck {profile.deck_size} is over the step table cap of "
+                         f"{STEP_TABLE_MAX_DECK}")
+    return _build_step_table(profile, threshold)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
     n, deck = profile.n, profile.deck_size
-    if deck > STEP_TABLE_MAX_DECK:
-        raise ValueError(f"deck {deck} is over the step table cap of {STEP_TABLE_MAX_DECK}")
     wt = profile.weights()
     mask, right, left = (x.reshape(-1) for x in np.meshgrid(
         np.arange(1 << deck), np.arange(deck), np.arange(deck), indexing="ij"))

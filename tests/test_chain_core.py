@@ -385,7 +385,11 @@ class TestHandTable:
         assert hand_table.cache_info().maxsize <= 8
 
 
-class TestPhiloxWords:
+class TestGeneratorWords:
+    def test_streams_come_from_pcg64dxsm(self):
+        # every seeded digest follows the generator, so a swap fails here by name
+        assert isinstance(stream_rng(0, 1).bit_generator, np.random.PCG64DXSM)
+
     def test_raw_words_make_the_generator_doubles(self):
         # Generator.random makes each double from one raw word as
         # (word >> 11) * 2**-53; call sizes vary on both sides, so a numpy

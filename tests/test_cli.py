@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import biased_shuffle
 from biased_shuffle import exact_analysis, marking, type_chain
 from biased_shuffle.cli import build_parser, main, parse_header
 
@@ -241,6 +243,13 @@ class TestReproducibility:
         _, first = run_to_file(tmp_path, "a.csv", base + ["--seed", "1"])
         _, second = run_to_file(tmp_path, "b.csv", base + ["--seed", "2"])
         assert first.read_bytes() != second.read_bytes()
+
+    def test_package_version_matches_pyproject(self):
+        # every config header carries the version a run was made with
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == biased_shuffle.__version__
 
     def test_header_holds_full_parameter_set(self, tmp_path):
         _, out = run_to_file(tmp_path, "h.csv",

@@ -377,10 +377,10 @@ def oracle_step(profile, c1, mask, right, left, coin):
 @pytest.fixture
 def tables_to_deck12(monkeypatch):
     """Let :func:`marking.step_table` build decks up to 12, past its cap of 8,
-    and drop the cached tables afterwards so that the cap holds again."""
+    and drop the cached tables afterwards (28 MB at deck 12)."""
     monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 12)
     yield
-    marking.step_table.cache_clear()
+    marking._build_step_table.cache_clear()
 
 
 class TestStepTable:
@@ -427,6 +427,14 @@ class TestStepTable:
     def test_refuses_decks_past_the_cap(self):
         with pytest.raises(ValueError, match="step table cap"):
             marking.step_table(make_bias_profile(5, 0.5), 6)
+
+    def test_a_table_built_past_the_cap_is_not_served_once_the_cap_is_back(
+            self, monkeypatch, tables_to_deck12):
+        profile = make_bias_profile(5, 0.5)
+        marking.step_table(profile, 6)
+        monkeypatch.undo()  # the cap is back at 8, the deck-10 table still cached
+        with pytest.raises(ValueError, match="step table cap"):
+            marking.step_table(profile, 6)
 
 
 def assert_same_runs(got, want):

@@ -29,7 +29,12 @@ update and before the fixed-point law stopped at its underflow.  The two
 batched step began to skip its phase-entry and finish tests on steps where
 no run can pass them.  The ``step_table`` digests were taken before the
 table and the inline step came to share one statement of the step's
-rules.  So a change that alters a random draw, its order,
+rules.  Every seeded digest was re-pinned when ``stream_rng`` moved from
+Philox to PCG64DXSM, and every unseeded CLI digest at the same time for
+the version 0.1.0 -> 0.2.0 in its header: with ``stream_rng`` and the
+version patched back, that code gave every earlier digest, and each new
+unseeded output equals the old one but for the version in its first line.
+So a change that alters a random draw, its order,
 any marking decision or any floating-point operation order shows up here
 even when every statistical check still passes.  Update a digest only for a change that is meant to
 alter outputs, and say so where the change is recorded.
@@ -97,84 +102,84 @@ def cli_digest(capsys, argv) -> str:
 BULK = {
     "deck256-a0.5": (
         dict(n=128, a=0.5, c1=0.75, trials=6, seed=4242),
-        "31ce5efce8b8f5c3fdef6a39ba2c891a25b2c4c1c695eae2d9cb304798331ce3"),
+        "239d8be91e33b2bd969ec6450b521bc53b575446910a26fc6bf5833f37aa7872"),
     "deck256-a1": (
         dict(n=128, a=1.0, c1=0.75, trials=6, seed=4243),
-        "4d212f2cd125af0f50c23a5504008edb58e966e6847b54a30b87c87e4699d4b7"),
+        "eb4929944320fd5eb4734260a62d2531714f0a378ee68a21f6689e93aa7833cb"),
     "deck256-a0.5-200-runs": (
         dict(n=128, a=0.5, c1=0.75, trials=200, seed=4244),
-        "c0fbd7c7866c4e10bcddf4716f293fa5175b1192589290af70e7ef6ed127d7c4"),
+        "cf34a5493aab3ac9be7e4fa58e4a699c5d68486b8e53cb2a2d80a7537b13f0c5"),
     "deck256-a1-200-runs": (
         dict(n=128, a=1.0, c1=0.75, trials=200, seed=4245),
-        "e4b4f788daeb2cfbab5fec32ce543c79b811428121ab67dd648e5975d3e3f422"),
+        "b9eec89302124fe3df966558f1dbc2dd1bc51590d037f45f97ef3ee2136f9f5d"),
     "deck4-first-k": (
         dict(n=2, a=0.5, c1=0.6, trials=3_000, seed=11),
-        "7ae9032a9805c195ce781277ec87c2fd3bfcbb826536dceb8f999f5c916cd23b"),
+        "78bf634fa05a96deab3bc1c9479fa43ba7aed44f33703b74bad07fc8887219cc"),
     "deck64-census": (
         dict(n=32, a=0.5, c1=0.8, trials=200, seed=14),
-        "293ebecc6a602b1a6844d4612eed2d2da65b8de6711a65754d834446537bc2f1"),
+        "20c1aaa02c0381fe58928fce8b8f8447dda3283044ff97788ed1a87b0dd4ff7a"),
     "deck20-mark-times": (
         dict(n=10, a=0.25, c1=0.75, trials=300, seed=12, record_mark_times=True),
-        "730b3f3768f918f840e2280a9eb02f313a4aa1a14fae8579302b6e928e4fac11"),
+        "e7f1bea487468603926d2d892f04d75afcf120856720c5863cdff2d343679444"),
     "deck10-always-mark": (
         dict(n=5, a=0.5, c1=0.6, trials=400, seed=13, always_mark=True,
              record_mark_times=True),
-        "870ec9889db783e7d760fc0bf6583a6273cddba45ec5cce68241bee60a45be14"),
+        "a7945c0f73f92246f25ec2a7e9145b36d7b6333f594d99105c45f8ca44af358b"),
     # most steps hold runs of both phases, and those steps move marks (some
     # of them a type's lowest mark) and hit assigned pairs
     "deck32-split-steps": (
         dict(n=16, a=0.25, c1=0.6, trials=500, seed=4246, record_mark_times=True),
-        "91753af4fcd6962350ceb9f76186f60f1d94fceb4db851c560899a26be4accd2"),
+        "97a4aa6ac03b8a2c214c972675de6b3a0c0eabf6883863083ca0adcc7223c2b0"),
     # ceil(c1 N) = N: every run finishes at its last phase-one mark, so no
     # run is ever in phase two
     "deck10-phase-one-finishes": (
         dict(n=5, a=0.5, c1=0.95, trials=300, seed=15, record_mark_times=True),
-        "17a2cb918572c883127f61d1fc06467ae02fbdda2376ee8a3d846abdd8e90d6b"),
+        "9b20ea15c806cac7fb8399ed3fde2bde8b9ab71ff46edc5d6dc7a63ca939fb0c"),
     "deck8-phase-one-finishes": (
         dict(n=4, a=0.5, c1=0.95, trials=500, seed=16),
-        "d0f9325f7f721b6e2241f256e7f135e4408e7ce75d5e944a97fa9b566160a4c6"),
+        "9942a6d11322eb1f52bbc7f6086a66da0f8e917b3f8ccac60d4a6ff672776559"),
 }
 
 SCALAR = {
     "deck6": (
         dict(n=3, a=0.5, c1=0.75, seeds=range(40)),
-        "16a0ff253e6753f0d199648f053fe2633ac443801fe6c9d0be87653f0818d3fd"),
+        "a0f0aed5f52da0c25d68d7b6665866adc0157b8acb8ce975d1f1338c99e1b429"),
     "deck12": (
         dict(n=6, a=0.25, c1=0.6, seeds=range(20)),
-        "69aa2f56ced1d09fd5384a788abcdc6c701ab4335350fcace0c61e6a8987707d"),
+        "7e677c13d83c505407bddd998f91c477a2ea1b4b80b60d4e783a34e5ffb99187"),
     "deck24": (
         dict(n=12, a=0.5, c1=0.75, seeds=range(6)),
-        "a07905abac7c8b8bedf9a1ee5fbc71b8b18fe236907532fcd33692167ef068be"),
+        "a18a4f96127a7ddf48136a7d2a5f4ec4746be4592ced1e5febdcf8460901e48f"),
     "deck8-always-mark": (
         dict(n=4, a=0.5, c1=0.75, seeds=range(4), always_mark=True),
-        "ed105d6ab5da14b833894baed3dbc8ee29c47da41f26f9aed49a34fbff808542"),
+        "c301cbedb00c9ea5a949f93f43a3c7435b7f08eec8ec47ed0e215d20f62042d1"),
 }
 
 CLI = {
     "runs": (
         "marking --deck 8 --trials 300 --seed 5".split(),
-        "7d1353ffb83af825c3fb860f495393df395e100acfb0329ca71485d4b7b55b5d"),
+        "ab723093d8c0ab8aebe822b34c6b1a44620c594881aa28565b5b4bcfd1a446c4"),
     "always-mark": (
         "marking --deck 6 -a 0.25 --trials 200 --always-mark".split(),
-        "abed0bfea72aed11cd37d586de981322cf18cb377348dc5ff39f2013cd79d6f8"),
+        "1f1bc611fb0de417c56fef354e66dcecacf1d1f473fe10658925a476308d1b83"),
     "uniformity": (
         "marking --mode uniformity --deck 4 --trials 2400 --seed 3".split(),
-        "4ccd70c27253123030e4f88113c6dadb1d4285a58f9c1cf7c206783d1c5ea29f"),
+        "c974f067bbe5199aa77608b0fd6fff1a0a3fd2735623732280a61421fe36c2c3"),
     "gaps": (
         "marking --mode gaps --deck 10 --c1 0.6 --trials 300".split(),
-        "4e72eb4a905c8ff081eadc16f7ea46eed37f11fa9f02818b0747a832204d62b1"),
+        "ce789cb682fb01a1554812853147e8e54cd1775ca2fe9163fb2e7961850480b8"),
 }
 
 ABSORPTION = {
     "n128-a0.5": (
         dict(n=128, a=0.5, start=(96, 96), trials=4000, seed=4242),
-        "70725fbc412b5259566accee84bd570b12d199c078de0db39ccc18be2e848f06"),
+        "f13cc9fcd84ea8ccaa22bcfa4a994db5c333a88c401eb82f6b20b016d231482d"),
     "n128-a1": (
         dict(n=128, a=1.0, start=(96, 96), trials=4000, seed=4242),
-        "d1bbe1aa53a503107805140ef70ebe486f8c2033eed53126b132a37d5f14d9ff"),
+        "5cfabd6dff2b7d030075b4b7925c67efe6825eeb0b9acb2e89152316812c9af3"),
     "n7-a0.3-origin": (
         dict(n=7, a=0.3, start=(0, 0), trials=4000, seed=4242),
-        "7df5fed094038750bb5648f2b31b37a8f234a8f418c272ae2e4067ef0ae70ece"),
+        "1452a51cf6de1c76efef6a0b567da079c54858e0aa712621f13463250c2f6d4c"),
 }
 
 # n: uniform_fixed_pmf(n), large enough that the tail masses underflow to 0.0
@@ -226,24 +231,24 @@ TABLES = {
 TABLE_CLI = {
     "typechain-rows": (
         "typechain --mode rows".split(),
-        "d283804c330e02b3fff37f9b4ab4e06b241c73039fd250b24c90f5b9e102ae05"),
+        "a9804b7f33ecd84f5b4e80950d9ec061431f39633c466bd4849d23dd99097488"),
     "typechain-absorption": (
         "typechain --mode absorption".split(),
-        "f4abe1cb430ba4ac2ef1431e53e9fcb322d98bfeb6dc79a44ed40895b4b280a0"),
+        "b3a4e296a3ada5a17af8c2c2000f8034e51cd2241a49db80cfb9ac8cfdd15c0a"),
     "typechain-bound": (
         "typechain --mode bound".split(),
-        "e780b03cd4424dd621d9ab7cf2fb512b71d98daa3922c10cddfc75694a66ed6e"),
+        "7801ad169271a1cb1fb7a83c49abb58b4fc80ec66330953177d30e803c4daa7d"),
     # the small-deck-cli benchmark's typechain job
     "typechain-absorption-n200": (
         "typechain --mode absorption --n 200 -a 0.5".split(),
-        "607eb83532761b19eb382315c494c4df02e86924014e47cfdd5e6787fedf86a6"),
+        "88e50d139b86a788438d8c65e002287b80f7139f376e1c8806fc33f3e86b1e86"),
     # 66,049 rows, more than one of the writer's blocks
     "typechain-rows-n256": (
         "typechain --mode rows --n 256 -a 0.77".split(),
-        "ccbdb058dc4ae0c0decb3057bc16e6bc1106f5e6bb8e81a15730453c0df4f32c"),
+        "8e94e9365b0f5f6b9bde9f8ae0a563609eae4ac6d0356e2df20d44c62b97b71e"),
     "exact-deck6": (
         "exact --deck 6 -a 0.5".split(),
-        "5df9ad6f792e101345f5ebf417372239f944a752a02d2be2a48cc7a78228ed5a"),
+        "73ccdf91abe9f013688137565868749b627a95b9b84e2c5632c09c13876cae29"),
 }
 
 # (a, c1): the deck-8 step table, all five arrays
@@ -258,44 +263,44 @@ WALK = {
     "deck12-two-blocks": (
         dict(n=6, a=0.5, t_values=(0, 3, 10, 25), trials=5000, seed=21,
              touch_threshold=2),
-        "54f6c7b45b3ff216a483aa099e04c33df900a61d1efa09d3c0358e49f5dce0ea"),
+        "e933d62e97f901f7379b87f956c1f17fe0c3e0624e7d15fc7baadc8f130f3d17"),
     "deck64-touch-zero": (
         dict(n=32, a=1.0, t_values=(7, 40), trials=300, seed=22, touch_threshold=0),
-        "5dc47c2031884fe99b3a47647981374b2586615050e79a0a125355225d70b0c5"),
+        "335995003ba28766bb11627f674cf2aa88de6e83be20f4159294a8fb41fb0c74"),
     "deck8-touch-full": (
         dict(n=4, a=0.25, t_values=(5,), trials=200, seed=23, touch_threshold=4),
-        "c5119b4b692005c2a4fca90b2dc7d837f770e6e6d2342c491f59744f167b97fa"),
+        "451af35435bb7a648d92d200470e9fbbdb4260dc5993107d367738da499380cc"),
     "deck20-no-touch": (
         dict(n=10, a=0.75, t_values=(1, 2, 30), trials=700, seed=24),
-        "fa1aae3df062e854979a0b86b92fb1f7af804764fdb7ec3e5363a145c5172f5b"),
+        "2869090c6ca9b2cd056979942c8b317396ffd21fdee7963859562180482edcf0"),
 }
 
 # Horizons that stop before, at and well past both crossings.
 WALK_EXACT_CLI = {
     "lowerbound-t-list": (
         "lowerbound --deck 8 --trials 3000 --t-list 5,20".split(),
-        "82045962876ae46fe73d3572a4d62a67a79844c5e416db2cc6b795a9f8ce5d25"),
+        "75a4fe4cc7692ee571da47508cf0a3ee28bb10fa6c69072649809d682d822e64"),
     "lowerbound-multiples": (
         "lowerbound --deck 12 --trials 5000 --seed 9".split(),
-        "222f4b5529029cb71bb6a996c8365b3ff37deaa7498d7701974ba9c4c4971a8f"),
+        "78a3e57281c76bc19debd786b948661d326f3c331cbc78a63149d8e1e5d89d73"),
     "simulate": (
         "simulate --deck 10 --t 12 --trials 500".split(),
-        "5328a59e201d82bf703d5de659d7235c2682119ef3113776bc6c710a4f0b4b5d"),
+        "0bd63d705155113a3fd961b0b8fc3e91aa339edf5ee90da52af5357137480750"),
     "exact-deck8": (
         "exact --deck 8 -a 0.5".split(),
-        "8a7d89b978839c148b92878e2cf903160a5ce892cb034cfde0027615b56296a7"),
+        "e8464ac5d00f75d44a750cdf344f2444d80cb3c5fc5c09cb89b86dda37a559dd"),
     "exact-deck6-t-max-3": (
         "exact --deck 6 --t-max 3".split(),
-        "25c674ad0a6c656fc01ecf0c00b31cb8506f039fa45cdf03c56801e065dab7e5"),
+        "dc6ece8c1530662dfeda04d91f6eb754dd9cd4eaafe922be2c9d9ada1c2fb874"),
     "exact-deck4-eps-0.01": (
         "exact --deck 4 -a 0.25 --eps 0.01 --t-max 5".split(),
-        "905aefe2610269841b289e645aea1e7607389a18d975ecd0a41d347ef317201f"),
+        "e3e0643a2995b18788ac6a0404dd8695e09957d0cc35e8b900bfb0c5bcb5d279"),
     "exact-deck6-t-max-0": (
         "exact --deck 6 -a 0.5 --t-max 0 --eps 0.5".split(),
-        "a97854b2d6ae02469e7e6fa786d2a53266a6aa3be73229e417297019c448f141"),
+        "31ca1fe6581213a8f4c50260f7a33e828b3b4f70249b7c9305ac60309fef76e9"),
     "exact-deck2-t-max-40": (
         "exact --deck 2 -a 0.5 --t-max 40".split(),
-        "144938843f5a47d48618feee9179a4901c55a92beb12f1b127091de566fa03d7"),
+        "9c8e577770f5b509ed38f3fde2956c259f8369bef44887af271032d30914e67f"),
 }
 
 
