@@ -313,21 +313,29 @@ def test_criterion_8c_marking_time_location():
 
 
 def test_criterion_9_coupon_formulas():
-    rels = {}
+    rels, control_rels = {}, {}
     for a in (0.5, 1.0):
         res = bounds.simulate_walks(make_bias_profile(50, a), [1], 100_000,
                                     seed=SEED, touch_threshold=5)
+        mean = float(res.touch_picks.mean())
         expected = bounds.coupon_expectation(50, 5, a)
-        rels[a] = abs(float(res.touch_picks.mean()) - expected) / expected
+        rels[a] = abs(mean - expected) / expected
+        # negative control: the same picks must fail the 1% test at a wrong bias
+        wrong = bounds.coupon_expectation(50, 5, 0.95 * a)
+        control_rels[a] = abs(mean - wrong) / wrong
+    control_fails = all(r >= 0.01 for r in control_rels.values())
     derangements_ok = derangement_count(4) == 9 and derangement_count(6) == 265
     enum_dev = max(
         abs(bounds.uniform_fixed_mass(n, k) - uniform_fixed_mass_enumerated(n, k))
         for n in range(1, 5) for k in range(0, n + 1))
-    ok = all(r < 0.01 for r in rels.values()) and derangements_ok and enum_dev < 1e-12
+    ok = (all(r < 0.01 for r in rels.values()) and control_fails
+          and derangements_ok and enum_dev < 1e-12)
     record_criterion(
         "9", ok,
         f"touch-time mean rel. err a=0.5 {rels[0.5]:.4%}, a=1 {rels[1.0]:.4%} "
-        f"(<1%); d(4)=9, d(6)=265; enumerated mass dev {enum_dev:.1e}")
+        f"(<1%); control against the expectation at 0.95a: a=0.5 "
+        f"{control_rels[0.5]:.4%}, a=1 {control_rels[1.0]:.4%} (must be >=1%); "
+        f"d(4)=9, d(6)=265; enumerated mass dev {enum_dev:.1e}")
 
 
 def test_criterion_10_conjecture_probe_report():

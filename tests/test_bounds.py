@@ -136,6 +136,60 @@ class TestCoupon:
         assert (result.touch_steps == 0).all()
 
 
+def scripted_touches(monkeypatch, n: int, threshold: int, script):
+    """Touch picks and steps of runs whose hands follow ``script``.
+
+    ``script`` holds one list per step with a (right, left) pair of cards
+    for each run; the stream hands them out interleaved, as the walk reads
+    them.  A step past the end of the script raises, so the walk must stop
+    at the step where its last run closes.
+    """
+    steps = iter(script)
+
+    class ScriptedStream:
+        def __init__(self, profile, rng):
+            pass
+
+        def take(self, m, cards):
+            hands = np.array(next(steps), dtype=np.int64).reshape(-1)
+            assert m == cards == hands.size
+            return np.empty(0), hands
+
+    monkeypatch.setattr(bounds, "HandStream", ScriptedStream)
+    res = simulate_walks(make_bias_profile(n, 0.5), [1], len(script[0]), seed=0,
+                         touch_threshold=threshold)
+    return res.touch_picks.tolist(), res.touch_steps.tolist()
+
+
+class TestScriptedTouches:
+    # type-A cards are 0..n-1; cards n..2n-1 are type B and never count
+
+    def test_both_hands_on_one_untouched_card_count_once(self, monkeypatch):
+        # counted twice, the draw (0, 0) would close the run at pick 2
+        assert scripted_touches(monkeypatch, 2, 0, [[(0, 0)], [(1, 3)]]) == ([3], [2])
+
+    def test_left_hand_reaching_the_threshold_closes_at_pick_2s(self, monkeypatch):
+        assert scripted_touches(monkeypatch, 3, 1, [[(4, 5)], [(0, 1)]]) == ([4], [2])
+
+    def test_right_hand_reaching_the_threshold_closes_at_pick_2s_minus_1(self, monkeypatch):
+        # the left hand (2) is fresh too, but the run closed on the right
+        assert scripted_touches(monkeypatch, 3, 1, [[(0, 3)], [(1, 2)]]) == ([3], [2])
+
+    def test_threshold_n_minus_1_closes_at_the_first_fresh_touch(self, monkeypatch):
+        script = [[(1, 4), (3, 4)],
+                  [(0, 2), (5, 2)]]
+        assert scripted_touches(monkeypatch, 3, 2, script) == ([1, 4], [1, 2])
+
+    def test_runs_closing_at_different_steps_keep_their_own_counts(self, monkeypatch):
+        # after step 1 run 0 has 2 cards untouched, run 1 has closed and run 2
+        # still has 3; closed runs keep drawing fresh cards that must not count
+        script = [[(0, 3), (0, 1), (3, 3)],
+                  [(3, 4), (2, 2), (2, 2)],
+                  [(4, 2), (0, 0), (5, 5)],
+                  [(1, 0), (1, 2), (1, 0)]]
+        assert scripted_touches(monkeypatch, 3, 1, script) == ([6, 2, 7], [3, 1, 4])
+
+
 class TestWalker:
     def test_deterministic_and_coupled_across_checkpoints(self):
         profile = make_bias_profile(3, 0.5)

@@ -12,6 +12,8 @@ FAST_PATHS = frozenset({
     "step_table",
     "_step_rules",
     "hands_from_uniforms",
+    "hand_table",
+    "uniforms_from_words",
     "HandStream",
     "build_operator",
     "list_orbits",

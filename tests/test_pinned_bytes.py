@@ -34,6 +34,9 @@ Philox to PCG64DXSM, and every unseeded CLI digest at the same time for
 the version 0.1.0 -> 0.2.0 in its header: with ``stream_rng`` and the
 version patched back, that code gave every earlier digest, and each new
 unseeded output equals the old one but for the version in its first line.
+The ``deck100-touch-two-blocks`` walk digest, the touch shape of the
+``walk-deck1024`` benchmark workload, was taken after that move and before
+the touch pass came to read both hands in one pass over the open runs.
 So a change that alters a random draw, its order,
 any marking decision or any floating-point operation order shows up here
 even when every statistical check still passes.  Update a digest only for a change that is meant to
@@ -273,6 +276,10 @@ WALK = {
     "deck20-no-touch": (
         dict(n=10, a=0.75, t_values=(1, 2, 30), trials=700, seed=24),
         "2869090c6ca9b2cd056979942c8b317396ffd21fdee7963859562180482edcf0"),
+    # blocks of 4,096 and 904 runs; the deck-100 hand table has straddling bins
+    "deck100-touch-two-blocks": (
+        dict(n=50, a=0.5, t_values=(1,), trials=5000, seed=25, touch_threshold=5),
+        "f3c6ad9da8bed8e68383b5db6e5b9dd6be587b1d59516c1402d71c41916f8eb1"),
 }
 
 # Horizons that stop before, at and well past both crossings.
