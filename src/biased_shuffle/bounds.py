@@ -95,7 +95,8 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     through common random numbers.  A step only swaps the two hands'
     positions; A_t is counted from the positions at each checkpoint, and
     positions stay frozen after the last one while touch tracking, which
-    reads only the hands, follows the runs whose pick is still open.
+    reads only the hands, follows the runs whose pick is still open: one
+    pass over both hands per step, with state kept for those runs only.
     """
     n = profile.n
     deck = profile.deck_size
@@ -134,11 +135,15 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
             untouched = np.ones((bsz, n + 1), dtype=bool)
             untouched[:, n] = False
             flat_untouched = untouched.reshape(-1)
-            ucnt = np.full(bsz, n, dtype=np.int32)
             b_picks = touch_picks[start:stop]  # a view: hits land in the result
             # a run that starts with at most K untouched is decided at pick 0
-            b_picks[ucnt <= tt] = 0
-            open_rows = np.flatnonzero(b_picks < 0)
+            if n <= tt:
+                b_picks[:] = 0
+            else:
+                open_rows = np.arange(bsz)
+            # per open run: its right hand in the take, its first cell in
+            # untouched and its untouched count
+            right, first, remaining = 2 * open_rows, open_rows * (n + 1), np.full(open_rows.size, n)
         s = 0
         while True:
             if s in col_of:
@@ -154,21 +159,23 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
                 flat_pos[offsets] = flat_pos[offsets][partner]
             if not open_rows.size:
                 continue
-            # the right hand (ordinal 1) touches before the left (ordinal 2)
-            for ordinal in (1, 2):
-                hand = hands[2 * open_rows + ordinal - 1]
-                cells = open_rows * (n + 1) + np.minimum(hand, n)
-                fresh = flat_untouched[cells]
-                idx = open_rows[fresh]
-                if not idx.size:
-                    continue
-                flat_untouched[cells[fresh]] = False
-                ucnt[idx] -= 1
-                # a left-hand touch never overwrites a right-hand hit
-                hit = idx[(ucnt[idx] <= tt) & (b_picks[idx] < 0)]
-                if hit.size:
-                    b_picks[hit] = 2 * (s - 1) + ordinal
-                    open_rows = open_rows[b_picks[open_rows] < 0]
+            # the right hand touches first, so R = L on an untouched card counts once
+            cells = first + np.minimum(hands[right], n)
+            fresh_r = flat_untouched[cells]
+            flat_untouched[cells] = False
+            # entry 2i of hands[1:] is run i's left hand
+            cells = first + np.minimum(hands[1:][right], n)
+            fresh_l = flat_untouched[cells]
+            flat_untouched[cells] = False
+            after_r = remaining - fresh_r
+            remaining = after_r - fresh_l
+            done = remaining <= tt
+            if done.any():
+                # a run that reached K on its right hand closes at pick 2s - 1
+                b_picks[open_rows[done]] = 2 * s - (after_r[done] <= tt)
+                keep = ~done
+                open_rows, right, first = open_rows[keep], right[keep], first[keep]
+                remaining = remaining[keep]
     touch_steps = None if touch_picks is None else (touch_picks + 1) // 2
     return WalkSimResult(ts, counts, touch_steps, touch_picks)
 
