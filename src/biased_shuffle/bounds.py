@@ -143,7 +143,8 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
                 open_rows = np.arange(bsz)
             # per open run: its right hand in the take, its first cell in
             # untouched and its untouched count
-            right, first, remaining = 2 * open_rows, open_rows * (n + 1), np.full(open_rows.size, n)
+            right, first = 2 * open_rows, open_rows * (n + 1)
+            remaining = np.full(open_rows.size, n)
         s = 0
         while True:
             if s in col_of:
