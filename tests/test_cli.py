@@ -12,6 +12,7 @@ import pytest
 
 import biased_shuffle
 from biased_shuffle import exact_analysis, marking, type_chain
+from biased_shuffle.chain_core import make_bias_profile
 from biased_shuffle.cli import build_parser, main, parse_header
 
 
@@ -477,6 +478,18 @@ class TestExitCodes:
         monkeypatch.setattr(marking, "default_step_cap", lambda deck: 2)
         assert main(["marking", "--deck", "4", "--trials", "10"]) == 4
         assert "exceeded 2 steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_step_cap_counts_each_runs_whole_trajectory(self, monkeypatch, capsys, short):
+        # deck 20 runs the inline step; one step short of the largest t_full
+        # every run has finished phase one, so only phase-two steps reach the cap
+        argv = "marking --deck 20 -a 0.25 --c1 0.6 --trials 40 --seed 8".split()
+        res = marking.bulk_marking_runs(make_bias_profile(10, 0.25), 0.6, 40, 8)
+        cap = int(res.t_full.max()) - short
+        assert res.t_phase1.max() < cap
+        monkeypatch.setattr(marking, "default_step_cap", lambda deck: cap)
+        assert main(argv) == (4 if short else 0)
+        assert (f"exceeded {cap} steps" in capsys.readouterr().err) == bool(short)
 
     def test_argparse_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

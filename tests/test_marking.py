@@ -465,6 +465,15 @@ class TestBulkEngine:
         assert (res.mark_times[:, 3] == res.t_phase1).all()
         assert (res.mark_times[:, 4] == res.t_full).all()
 
+    def test_outputs_are_valid_on_the_inline_step(self):
+        res = bulk_marking_runs(make_bias_profile(10, 0.25), 0.75, 500, seed=22,
+                                record_mark_times=True)
+        threshold = mark_threshold(20, 0.75)
+        assert (np.sort(res.decks, axis=1) == np.arange(20)).all()
+        assert (np.diff(res.mark_times, axis=1) > 0).all()
+        assert (res.mark_times[:, threshold] == res.t_phase1).all()
+        assert (res.mark_times[:, 20] == res.t_full).all()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             bulk_marking_runs(H4, 0.6, 0, seed=1)
@@ -523,6 +532,22 @@ class TestBulkEngine:
         plain = bulk_marking_runs(profile, c1, trials, seed, **kwargs)
         assert census.phase1_steps.sum() > 0
         assert_same_runs(watched, plain)
+
+    @pytest.mark.parametrize("n,a,c1,trials,seed,kwargs", [
+        (32, 0.5, 0.8, 200, 14, {}),
+        (10, 0.25, 0.75, 300, 12, dict(record_mark_times=True)),
+        (5, 0.5, 0.6, 400, 13, dict(always_mark=True)),
+        (16, 0.25, 0.6, 500, 4246, {}),
+    ])
+    def test_census_counts_each_step_in_its_phase(self, n, a, c1, trials, seed, kwargs):
+        # every run's steps are seen once, in phase one up to t_phase1 and in
+        # phase two from there to t_full
+        census = MarkingCensus(n=n)
+        res = bulk_marking_runs(make_bias_profile(n, a), c1, trials, seed,
+                                census=census, **kwargs)
+        assert census.phase1_steps.sum() == res.t_phase1.sum()
+        assert census.phase2_counts.sum() == (res.t_full - res.t_phase1).sum()
+        assert census.phase1_marks.sum() == trials * mark_threshold(2 * n, c1)
 
     @pytest.mark.parametrize("always_mark", [False, True])
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])

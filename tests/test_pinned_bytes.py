@@ -143,6 +143,27 @@ BULK = {
         "9942a6d11322eb1f52bbc7f6086a66da0f8e917b3f8ccac60d4a6ff672776559"),
 }
 
+# Single-run calls, each with its own seed: (n, a, c1, seeds, kwargs).  With
+# one run a call reads its stream exactly as the per-run step does, whatever
+# the batch layout, so these pin the step itself.
+SINGLE_RUNS = (
+    (2, 0.5, 0.6, range(40), {}),
+    (4, 0.25, 0.75, range(15), dict(record_mark_times=True)),
+    (4, 0.5, 0.6, range(10), dict(always_mark=True)),
+    (5, 0.5, 0.6, range(20), dict(always_mark=True, record_mark_times=True)),
+    (5, 0.5, 0.95, range(10), dict(record_mark_times=True)),
+    (10, 0.25, 0.75, range(10), dict(record_mark_times=True)),
+    (32, 0.5, 0.8, range(6), {}),
+)
+BULK_SINGLE_RUN = "3082d5779ae2bc2e460e8d2bf9bed4f26acfd064c54024544447088044e6bb0c"
+
+
+def single_run_digest() -> str:
+    return hashlib.sha256("".join(
+        bulk_digest(n, a, c1, 1, seed, **kwargs)
+        for n, a, c1, seeds, kwargs in SINGLE_RUNS for seed in seeds).encode()).hexdigest()
+
+
 SCALAR = {
     "deck6": (
         dict(n=3, a=0.5, c1=0.75, seeds=range(40)),
@@ -334,6 +355,15 @@ def test_bulk_engine_bytes_on_the_inline_step(monkeypatch, name):
     monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 0)
     kwargs, expected = BULK[name]
     assert bulk_digest(**kwargs) == expected
+
+
+def test_single_run_bytes():
+    assert single_run_digest() == BULK_SINGLE_RUN
+
+
+def test_single_run_bytes_on_the_inline_step(monkeypatch):
+    monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", 0)
+    assert single_run_digest() == BULK_SINGLE_RUN
 
 
 @pytest.mark.parametrize("name", sorted(name for name in BULK if "phase-one-finishes" in name))
