@@ -8,4 +8,4 @@ governs the marking tail, and coupon-collector lower-bound tooling, all behind a
 reproducible command line.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -10,9 +10,10 @@ deck stays put with probability sum_i p_i^2.
 Randomness policy: every Monte Carlo consumer derives its generators through
 ``stream_rng``, one PCG64DXSM stream per (seed, stream tag, ...), and its
 outputs are a function of every argument, ``trials`` included: the marking
-engine draws all runs from one stream, a step's draws sized by the runs
-still open, and the walk uses one stream per ``DEFAULT_BLOCK_SIZE`` trials,
-so trial i is not a function of (seed, i) alone.  Nothing depends on
+engine draws all runs from one stream, phase one for every run and then
+phase two, a step's draws sized by the runs still open in its pass, and the
+walk uses one stream per ``DEFAULT_BLOCK_SIZE`` trials, so trial i is not a
+function of (seed, i) alone.  Nothing depends on
 ``HAND_BLOCK`` or on thread settings.
 """
 from __future__ import annotations

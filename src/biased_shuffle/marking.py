@@ -24,13 +24,14 @@ share :func:`mixed_rule`.  Which rule a draw meets, and whether a rejection
 moves a mark, is stated once too, by :func:`_step_rules` over a batch of rows.
 
 The package has one engine, :func:`bulk_marking_runs`, which runs many
-trajectories as numpy rows.  The deck alone picks the form of its step.  Up
-to STEP_TABLE_MAX_DECK cards a run keeps its card positions and one integer
-for its marked set, and each step is read from :func:`step_table`, which runs
-:func:`_step_rules` once over every (marked set, R, L).  Above that a run
-keeps its card positions, marked set and marked count, and each step runs
-:func:`_step_rules` on the batch and applies its coins.  Both forms write a
-run's deck once, when the run finishes, and draw from one stream derived from
+trajectories as numpy rows in two passes: phase one for every run, then phase
+two for every run from its state at entry, so no step mixes the phases.  The
+deck alone picks the form of its step.  Up to STEP_TABLE_MAX_DECK cards a run
+keeps its card positions and one integer for its marked set, and each step is
+read from :func:`step_table`, which runs :func:`_step_rules` once per phase
+over every (marked set, R, L).  Above that a run keeps its card positions,
+marked set and marked count, and each step runs :func:`_step_rules` on the
+batch and applies its coins.  Both forms draw from one stream derived from
 (seed, tag), so the output is the same deterministic function of (seed,
 trials) in either form.  The tests check it against a scalar per-trajectory
 engine and an exact dynamic program over (deck, marked set), both built on
@@ -114,7 +115,7 @@ def default_step_cap(deck: int) -> int:
     return math.ceil(1e4 * deck * max(math.log(deck), 1.0))
 
 
-def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l, in2):
+def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l, phase2):
     """The rules that a batch of rows meets on its draw: (ok, move, num, den, gain).
 
     A row accepts when its coin has ``u * den < num``.  An accepting ``ok`` or
@@ -122,8 +123,8 @@ def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l
     other hand's mark onto ``gain`` instead; no row is both, and ``num`` and
     ``den`` hold rule values only on rows that are either.  Each row gives
     its marked set (``marked``, shape (rows, deck)), marked count ``k``, hands,
-    their marks and weights, and ``in2``, its phase-two flag; ``in2`` is one
-    bool when every row is in the same phase.  No input is written to.
+    their marks and weights; every row is in the phase that the bool
+    ``phase2`` names.  No input is written to.
 
     A pair draw (R, L) can hit an assigned card only when L is marked and at
     most 2 (deck - k), the rank bound of :func:`assigned_card`, and R is
@@ -133,33 +134,21 @@ def _step_rules(profile: BiasProfile, marked, k, right, left, m_r, m_l, w_r, w_l
     the few left are looked up.
     """
     a, n = profile.a, profile.n
-    if in2 is not True:
+    if not phase2:
         # phase one marks R when both hands are unmarked
-        ok = ~(m_r | m_l) if in2 is False else ~(m_r | m_l | in2)
-        num, den = phase1_rule(a, w_r, w_l)
-        if in2 is False:
-            return ok, False, num, den, right
-    # phase two with one unmarked hand, R = L on a solo draw where w_r = w_l:
-    # mark it, or on a rejected mixed draw move the other hand's mark onto
-    # it; a phase-one solo draw is already ok, with phase one's rule
+        return ~(m_r | m_l), False, *phase1_rule(a, w_r, w_l), right
+    # one unmarked hand, R = L on a solo draw where w_r = w_l: mark it, or on
+    # a rejected mixed draw move the other hand's mark onto it
     move = m_r != m_l
-    solo = (right == left) & ~m_r
-    num2, den2 = mixed_rule(a, np.where(m_r, w_r, w_l))
-    if in2 is True:
-        ok, num, den = solo, num2, den2
-    else:
-        move &= in2
-        ok |= solo
-        num, den = np.where(in2, num2, num), np.where(in2, den2, den)
+    ok = (right == left) & ~m_r
+    num, den = mixed_rule(a, np.where(m_r, w_r, w_l))
     gain = np.where(m_r, left, right)
-    # phase two with distinct marked hands: mark their assigned card, if any
+    # distinct marked hands: mark their assigned card, if any
     room = 2 * n - k
     cand = (m_l & (left - room <= room)).nonzero()[0]
     if cand.size:
         r = right[cand]
         hit = m_r[cand] & (r != left[cand]) & (r % n <= room[cand])
-        if in2 is not True:
-            hit &= in2[cand]
         cand, r = cand[hit], r[hit]
     if cand.size:
         # every candidate's R is marked, so R is the lowest mark of its type
@@ -187,12 +176,12 @@ def step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray, ...]:
 
     Row key = mask * N**2 + R * N + L (N = deck; bit c of mask set when card
     c is marked) accepts its draw when ``u * den < num``, by
-    :func:`_step_rules` run once over every row; ``moves[key, accepted]`` is
-    the next state, mask * N**2 of the next marked set; ``k`` and ``ka``
-    count the mask's marked and marked type-A cards.  Rows that meet no rule
-    have ``num`` 0 and ``den`` 1, so an acceptance always adds a mark.  Built
-    on first use and cached for the last few tables; the cap is checked on
-    every call, before the cache is read.
+    :func:`_step_rules` run once over each phase's rows; ``moves[key,
+    accepted]`` is the next state, mask * N**2 of the next marked set; ``k``
+    and ``ka`` count the mask's marked and marked type-A cards.  Rows that
+    meet no rule have ``num`` 0 and ``den`` 1, so an acceptance always adds
+    a mark.  Built on first use and cached for the last few tables; the cap
+    is checked on every call, before the cache is read.
     """
     if profile.deck_size > STEP_TABLE_MAX_DECK:
         raise ValueError(f"deck {profile.deck_size} is over the step table cap of "
@@ -209,8 +198,13 @@ def _build_step_table(profile: BiasProfile, threshold: int) -> tuple[np.ndarray,
     marked = (mask[:, None] >> np.arange(deck)) & 1 == 1
     k = np.count_nonzero(marked, axis=1)
     m_r, m_l = (mask >> right) & 1 == 1, (mask >> left) & 1 == 1
-    ok, move, num, den, gain = _step_rules(profile, marked, k, right, left, m_r, m_l,
-                                           wt[right], wt[left], k >= threshold)
+    ok, move = np.zeros((2, mask.size), dtype=bool)
+    num, den, gain = np.zeros(mask.size), np.zeros(mask.size), np.empty_like(right)
+    for phase2 in (False, True):
+        r = np.flatnonzero((k >= threshold) == phase2)
+        ok[r], move[r], num[r], den[r], gain[r] = _step_rules(
+            profile, marked[r], k[r], right[r], left[r], m_r[r], m_l[r],
+            wt[right[r]], wt[left[r]], phase2)
     ok |= move
     acc = np.where(ok, mask | 1 << gain, mask)
     rej = np.where(move, mask ^ (1 << right | 1 << left), mask)
@@ -240,25 +234,27 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                       census=None) -> BulkMarkingResult:
     """Run many marking trajectories in one vectorised sweep.
 
+    The runs share one stream over two passes, so that no step holds runs
+    of both phases.  Pass one runs every run under the phase-one rule until
+    it has ceil(c1 N) marks, then copies its state out and leaves its row
+    fully marked, where no rule applies.  Pass two starts every run from
+    that copy, on the clock t = t_phase1 + s at its step s, and runs the
+    phase-two rules to full marking, unless ceil(c1 N) = N and pass one
+    finished the runs.  The step cap bounds each run's t.
+
     At decks up to STEP_TABLE_MAX_DECK each run keeps ``pos_of`` (the
     position of every card) and its state, mask * deck**2 for its marked
     set, and a step looks its draw up in :func:`step_table`: key = state +
-    R * deck + L, then the next state by the coin ``u * den < num``.
-
-    Above that each run keeps ``pos_of``, the marked set and the marked
-    count ``k``, and a step runs :func:`_step_rules` on the batch and flips
-    each row's coin ``u * den < num``.  Marks only add to ``k``, so a run is
-    in phase two exactly while ``k >= threshold``, and a run's deck is
-    written once, as the inverse of its ``pos_of`` row, when it finishes.
-    Marks and moves share one update: each run yields the card it gains this
-    step, by a new mark or a moved one, and one scatter marks them all; then
-    a move unmarks its source and a mark bumps ``k``.
-
-    The batch size, the rows' flat offsets and the flat views of ``pos_of``
-    and the marked set change only when finished runs are compacted away,
-    so the loop keeps them between compactions.  A step looks for runs
-    entering phase two only while some run is in phase one, and for
-    finished runs only while some run is in phase two or ceil(c1 N) = N.
+    R * deck + L, then the next state by the coin ``u * den < num``.  Above
+    that each run keeps ``pos_of``, the marked set and the marked count
+    ``k``, and a step runs :func:`_step_rules` on the batch and flips each
+    row's coin.  Marks and moves share one update: each run yields the card
+    it gains this step, by a new mark or a moved one, and one scatter marks
+    them all; then a move unmarks its source and a mark bumps ``k``.  A
+    run's deck is written once, as the inverse of its ``pos_of`` row, when
+    it finishes.  The batch size, the rows' flat offsets and the flat views
+    of ``pos_of`` and the marked set change only when finished runs are
+    compacted away, so the loop keeps them between compactions.
 
     A ``census`` sees only the chain's state: after each step's marks and
     moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
@@ -274,23 +270,20 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     stream = HandStream(profile, stream_rng(seed, STREAM_MARKING))
 
     labels = np.arange(deck, dtype=np.int16)
-    pos_of = np.tile(labels, (trials, 1))
+    # every run's state as its pass starts, written by pass one at entry
+    start_pos = np.tile(labels, (trials, 1))
     tabled = deck <= STEP_TABLE_MAX_DECK
     if tabled:
         num, den, moves, k_of, ka_of = step_table(profile, threshold)
         moves = moves.reshape(-1)  # moves[2 * key + accepted]
-        state = np.zeros(trials, dtype=np.int64)  # mask * deck**2
+        start_state = np.zeros(trials, dtype=np.int64)  # mask * deck**2
+        full = ((1 << deck) - 1) * deck**2
     else:
-        marked = np.zeros((trials, deck), dtype=bool)
-        flat_marked = marked.reshape(-1)
-        k = np.zeros(trials, dtype=np.int16)
-    orig = np.arange(trials, dtype=np.int64)
+        start_marked = np.zeros((trials, deck), dtype=bool)
     # pos_of and marked stay C-contiguous through compaction: card c of run i
     # sits at flat offset i * deck + c of both
     row_base = np.arange(trials, dtype=np.int64) * deck
-    batch, base, flat_pos = trials, row_base, pos_of.reshape(-1)  # reset at compaction
     no_coins = np.zeros(trials)  # always_mark's coins: every num > 0, so 0 * den < num
-    live2 = done = 0  # runs in phase two; finished runs not yet compacted away
 
     out_decks = np.empty((trials, deck), dtype=np.int16)
     out_tp1 = np.zeros(trials, dtype=np.int64)
@@ -305,99 +298,115 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             return k_of[state], ka_of[state]
         return k.copy(), np.count_nonzero(marked[:, :n], axis=1)
 
-    t = 0
-    while batch:
-        t += 1
-        if t > cap:
-            raise RuntimeError(f"batched marking exceeded {cap} steps; "
-                               f"{batch} runs unfinished")
-        coins, hands = stream.take(3 * batch, 2 * batch)
-        pair = hands.reshape(2, batch)
-        right, left = hands[:batch], hands[batch:]
-        u_acc = no_coins[:batch] if always_mark else coins
+    def unfinished():
+        return (k_of[state] if tabled else k) < deck
 
-        offsets = pair + base
-        held = flat_pos[offsets]
-        flat_pos[offsets] = held[::-1]
-        if census is not None:
-            before = counts()
-
+    for phase2 in (False, True):
+        goal = deck if phase2 else threshold
+        orig = np.arange(0 if phase2 and threshold == deck else trials)
+        pos_of = start_pos[orig]
         if tabled:
-            key = right * deck
-            key += left
-            key += state
-            ok = u_acc * den[key] < num[key]
-            key *= 2
-            key += ok
-            state = moves[key]
-            # an acceptance always adds a mark
-            idx = ok.nonzero()[0]
-            k_now = k_of[state[idx]]
+            state = start_state[orig]
         else:
-            # phase flags are needed only on steps where both phases hold runs
-            in2 = k >= threshold if 0 < live2 < batch else live2 > 0
-            held_marks, weights = flat_marked[offsets], wt[pair]
-            ok, move, num, den, gain = _step_rules(
-                profile, marked, k, right, left, held_marks[0], held_marks[1],
-                weights[0], weights[1], in2)
-            # gets marks the runs that gain a marked card this step, by a new
-            # mark or a moved one
-            acc = u_acc * den < num
-            gets = acc & ok
-            if live2:
-                gets |= move
+            marked = start_marked[orig]
+            flat_marked = marked.reshape(-1)
+            k = np.full(orig.size, threshold if phase2 else 0, dtype=np.int16)
+        batch, base, flat_pos = orig.size, row_base[:orig.size], pos_of.reshape(-1)
+        # t_phase1 reads 0 until pass one sets it, so a run's t is t_phase1 + s
+        # in either pass; up to step limit no unfinished run's t passes the cap
+        s = done = limit = 0
+        while batch:
+            s += 1
+            if s > limit and s > (limit := cap - out_tp1[orig[unfinished()]].max()):
+                raise RuntimeError(f"batched marking exceeded {cap} steps; "
+                                   f"{batch} runs unfinished")
+            coins, hands = stream.take(3 * batch, 2 * batch)
+            pair = hands.reshape(2, batch)
+            right, left = hands[:batch], hands[batch:]
+            u_acc = no_coins[:batch] if always_mark else coins
 
-            # one update serves marks and moves: the gained card is marked (the
-            # per-step masks are 1-d, so nonzero()[0] skips flatnonzero's ravel
-            # wrapper)
-            idx = gets.nonzero()[0]
-            cards = gain[idx]
+            offsets = pair + base
+            held = flat_pos[offsets]
+            flat_pos[offsets] = held[::-1]
+            if census is not None:
+                before = counts()
+
+            if tabled:
+                key = right * deck
+                key += left
+                key += state
+                ok = u_acc * den[key] < num[key]
+                key *= 2
+                key += ok
+                state = moves[key]
+                # an acceptance always adds a mark
+                idx = ok.nonzero()[0]
+                k_now = k_of[state[idx]]
+            else:
+                held_marks, weights = flat_marked[offsets], wt[pair]
+                ok, move, num, den, gain = _step_rules(
+                    profile, marked, k, right, left, held_marks[0], held_marks[1],
+                    weights[0], weights[1], phase2)
+                # gets marks the runs that gain a marked card this step, by a
+                # new mark or a moved one
+                acc = u_acc * den < num
+                gets = acc & ok
+                if phase2:
+                    gets |= move
+
+                # one update serves marks and moves: the gained card is marked
+                # (the per-step masks are 1-d, so nonzero()[0] skips
+                # flatnonzero's ravel wrapper)
+                idx = gets.nonzero()[0]
+                cards = gain[idx]
+                if idx.size:
+                    flat_marked[base[idx] + cards] = True
+                    if phase2:
+                        # a gaining row that rejected is a move, which unmarks
+                        # its other hand, the marked one
+                        moved = ~acc[idx]
+                        if moved.any():
+                            vidx = idx[moved]
+                            src = right[vidx] + left[vidx] - cards[moved]
+                            flat_marked[base[vidx] + src] = False
+                            idx = idx[~moved]
+                k_now = k[idx] + 1
+                k[idx] = k_now
+
+            if census is not None:
+                census.record(threshold, *before, *counts())
+
             if idx.size:
-                flat_marked[base[idx] + cards] = True
-                if live2:
-                    # a gaining row that rejected is a move, which unmarks
-                    # its other hand, the marked one
-                    moved = ~acc[idx]
-                    if moved.any():
-                        vidx = idx[moved]
-                        src = right[vidx] + left[vidx] - cards[moved]
-                        flat_marked[base[vidx] + src] = False
-                        idx = idx[~moved]
-            k_now = k[idx] + 1
-            k[idx] = k_now
-
-        if idx.size:
-            if live2 < batch:
-                enter = idx[k_now == threshold]
-                if enter.size:
-                    out_tp1[orig[enter]] = t
-                    live2 += enter.size
-            if out_times is not None:
-                out_times[orig[idx], k_now.astype(np.int64)] = t
-            if live2 or threshold == deck:
-                fin = idx[k_now == deck]
+                if out_times is not None:
+                    runs = orig[idx]
+                    out_times[runs, k_now.astype(np.int64)] = out_tp1[runs] + s
+                fin = idx[k_now == goal]
                 if fin.size:
-                    out_tfull[orig[fin]] = t
-                    out_decks[orig[fin][:, None], pos_of[fin]] = labels
+                    runs = orig[fin]
+                    if goal == deck:
+                        out_tfull[runs] = out_tp1[runs] + s
+                        out_decks[runs[:, None], pos_of[fin]] = labels
+                    if not phase2:
+                        # pass two starts from a copy; the row, fully marked, marks no more
+                        out_tp1[runs], start_pos[runs] = s, pos_of[fin]
+                        if tabled:
+                            start_state[runs], state[fin] = state[fin], full
+                        else:
+                            start_marked[runs], marked[fin], k[fin] = marked[fin], True, deck
                     done += fin.size
 
-        if census is not None:
-            census.record(threshold, *before, *counts())
-
-        # done changes only on steps where a run finished
-        if done * 8 >= batch:
-            if tabled:
-                keep = np.flatnonzero(k_of[state] < deck)
-                state = state[keep]
-            else:
-                keep = np.flatnonzero(k < deck)
-                marked = marked[keep]
-                k = k[keep]
-                flat_marked = marked.reshape(-1)
-            pos_of = pos_of[keep]
-            orig = orig[keep]
-            live2, done = live2 - done, 0
-            batch, base, flat_pos = keep.size, row_base[:keep.size], pos_of.reshape(-1)
+            # done changes only on steps where a run finished
+            if done * 8 >= batch:
+                keep = unfinished().nonzero()[0]
+                if tabled:
+                    state = state[keep]
+                else:
+                    marked = marked[keep]
+                    k = k[keep]
+                    flat_marked = marked.reshape(-1)
+                pos_of, orig = pos_of[keep], orig[keep]
+                done = 0
+                batch, base, flat_pos = keep.size, row_base[:keep.size], pos_of.reshape(-1)
 
     return BulkMarkingResult(
         decks=out_decks, t_phase1=out_tp1, t_full=out_tfull, mark_times=out_times)
