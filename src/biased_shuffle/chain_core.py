@@ -29,7 +29,7 @@ STREAM_WALK = 1
 STREAM_MARKING = 2
 STREAM_TYPECHAIN = 3
 
-# Card labels, positions and counters are int16 in the batched engines.
+# The batched engines keep card labels, positions and walk counts int16, marked counts int64.
 MAX_DECK = int(np.iinfo(np.int16).max)
 
 

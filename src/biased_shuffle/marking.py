@@ -248,13 +248,17 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     R * deck + L, then the next state by the coin ``u * den < num``.  Above
     that each run keeps ``pos_of``, the marked set and the marked count
     ``k``, and a step runs :func:`_step_rules` on the batch and flips each
-    row's coin.  Marks and moves share one update: each run yields the card
-    it gains this step, by a new mark or a moved one, and one scatter marks
-    them all; then a move unmarks its source and a mark bumps ``k``.  A
-    run's deck is written once, as the inverse of its ``pos_of`` row, when
-    it finishes.  The batch size, the rows' flat offsets and the flat views
-    of ``pos_of`` and the marked set change only when finished runs are
-    compacted away, so the loop keeps them between compactions.
+    row's coin.  A step's hands are one flat array, right hands then left
+    hands, and their offsets into the flat ``pos_of`` and marked set are the
+    hands plus the rows' offsets written twice: one gather and two
+    half-scatters swap positions, and marks and weights are read through
+    them.  Each run yields the card it gains this step, by a new mark or a
+    moved one, and one scatter marks them all; then a move unmarks its
+    source, at its marked hand's offset, and a mark bumps ``k``.  A run's
+    deck is written once, as the inverse of its ``pos_of`` row, when it
+    finishes.  The batch size, the doubled row offsets and the flat views
+    change only when finished runs are compacted away, so the loop keeps
+    them between compactions.
 
     A ``census`` sees only the chain's state: after each step's marks and
     moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
@@ -310,8 +314,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
         else:
             marked = start_marked[orig]
             flat_marked = marked.reshape(-1)
-            k = np.full(orig.size, threshold if phase2 else 0, dtype=np.int16)
-        batch, base, flat_pos = orig.size, row_base[:orig.size], pos_of.reshape(-1)
+            k = np.full(orig.size, threshold if phase2 else 0, dtype=np.int64)
+        batch, base2, flat_pos = orig.size, np.tile(row_base[:orig.size], 2), pos_of.reshape(-1)
         # t_phase1 reads 0 until pass one sets it, so a run's t is t_phase1 + s
         # in either pass; up to step limit no unfinished run's t passes the cap
         s = done = limit = 0
@@ -321,13 +325,13 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 raise RuntimeError(f"batched marking exceeded {cap} steps; "
                                    f"{batch} runs unfinished")
             coins, hands = stream.take(3 * batch, 2 * batch)
-            pair = hands.reshape(2, batch)
             right, left = hands[:batch], hands[batch:]
             u_acc = no_coins[:batch] if always_mark else coins
 
-            offsets = pair + base
+            offsets = hands + base2
             held = flat_pos[offsets]
-            flat_pos[offsets] = held[::-1]
+            flat_pos[offsets[:batch]] = held[batch:]
+            flat_pos[offsets[batch:]] = held[:batch]
             if census is not None:
                 before = counts()
 
@@ -343,10 +347,11 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 idx = ok.nonzero()[0]
                 k_now = k_of[state[idx]]
             else:
-                held_marks, weights = flat_marked[offsets], wt[pair]
+                held_marks, weights = flat_marked[offsets], wt[hands]
+                m_l = held_marks[batch:]
                 ok, move, num, den, gain = _step_rules(
-                    profile, marked, k, right, left, held_marks[0], held_marks[1],
-                    weights[0], weights[1], phase2)
+                    profile, marked, k, right, left, held_marks[:batch], m_l,
+                    weights[:batch], weights[batch:], phase2)
                 # gets marks the runs that gain a marked card this step, by a
                 # new mark or a moved one
                 acc = u_acc * den < num
@@ -360,15 +365,14 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 idx = gets.nonzero()[0]
                 cards = gain[idx]
                 if idx.size:
-                    flat_marked[base[idx] + cards] = True
+                    flat_marked[base2[idx] + cards] = True
                     if phase2:
                         # a gaining row that rejected is a move, which unmarks
                         # its other hand, the marked one
                         moved = ~acc[idx]
                         if moved.any():
                             vidx = idx[moved]
-                            src = right[vidx] + left[vidx] - cards[moved]
-                            flat_marked[base[vidx] + src] = False
+                            flat_marked[offsets[vidx + batch * m_l[vidx]]] = False
                             idx = idx[~moved]
                 k_now = k[idx] + 1
                 k[idx] = k_now
@@ -379,7 +383,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             if idx.size:
                 if out_times is not None:
                     runs = orig[idx]
-                    out_times[runs, k_now.astype(np.int64)] = out_tp1[runs] + s
+                    out_times[runs, k_now] = out_tp1[runs] + s
                 fin = idx[k_now == goal]
                 if fin.size:
                     runs = orig[fin]
@@ -404,9 +408,9 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     marked = marked[keep]
                     k = k[keep]
                     flat_marked = marked.reshape(-1)
-                pos_of, orig = pos_of[keep], orig[keep]
-                done = 0
-                batch, base, flat_pos = keep.size, row_base[:keep.size], pos_of.reshape(-1)
+                pos_of, orig, done = pos_of[keep], orig[keep], 0
+                batch, flat_pos = keep.size, pos_of.reshape(-1)
+                base2 = np.tile(row_base[:batch], 2)
 
     return BulkMarkingResult(
         decks=out_decks, t_phase1=out_tp1, t_full=out_tfull, mark_times=out_times)

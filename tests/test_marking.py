@@ -446,6 +446,69 @@ def assert_same_runs(got, want):
             assert one.dtype == two.dtype and np.array_equal(one, two)
 
 
+def scripted_marking(monkeypatch, script):
+    """One deck-4, a = 0.5 run whose draws follow ``script``.
+
+    ``script`` holds one (right, left, coin) draw per step, handed out in
+    the order the engine reads them: pass one's steps, then pass two's.  A
+    step past the end of the script raises, so the run must finish fully
+    marked at the script's last draw.
+    """
+    steps = iter(script)
+
+    class ScriptedStream:
+        def __init__(self, profile, rng):
+            pass
+
+        def take(self, m, cards):
+            right, left, coin = next(steps)
+            assert (m, cards) == (3, 2)
+            return np.array([coin]), np.array([right, left], dtype=np.int64)
+
+    monkeypatch.setattr(marking, "HandStream", ScriptedStream)
+    return bulk_marking_runs(H4, 0.6, 1, seed=0, record_mark_times=True)
+
+
+class TestScriptedMarking:
+    """A hand-worked trajectory at deck 4, a = 0.5, c1 = 0.6 (threshold 3).
+
+    Cards 0 and 1 are type A (weight 1/2), 2 and 3 type B (weight 3/2).  A
+    draw accepts when coin * den < num.  pos_of, the position of each card,
+    starts at [0, 1, 2, 3], and every draw swaps the positions of R and L.
+
+    Pass one, rule a^2 / (w_R w_L) on both-unmarked draws only:
+      1. (0, 1, 0.5): 1 / 1, so 0 is marked at t = 1; pos_of [1, 0, 2, 3].
+      2. (3, 3, 0.1): R = L, 1/9 against 0.1 * 9/4 < 1/4, so 3 is marked at
+         t = 2; no swap.
+      3. (0, 2, 0.0): one hand marked, so only the swap; pos_of [2, 0, 1, 3].
+      4. (2, 1, 0.3): 1/3 against 0.3 * 3/4 < 1/4, so 2 is marked at t = 4,
+         the threshold: t_phase1 = 4, marked {0, 2, 3}; pos_of [2, 1, 0, 3].
+    Pass two, t = 4 + s, rule a / w(marked hand) on mixed draws:
+      5. (1, 2, 0.5): marked hand L = 2, 1/3, rejected (0.5 * 3/2 >= 1/2), so
+         the mark moves from 2 to 1: marked {0, 1, 3}; pos_of [2, 0, 1, 3].
+      6. (3, 2, 0.9): marked hand R = 3, 1/3, rejected, so the mark moves from
+         3 to 2: marked {0, 1, 2}; pos_of [2, 0, 3, 1].
+      7. (3, 3, 0.2): R = L on the unmarked 3, a / w(3) = 1/3 against
+         0.2 * 3/2 < 1/2, so 3 is marked at t = 7 = t_full.
+    The deck is the inverse of pos_of: [1, 3, 0, 2].  A move that unmarked
+    its gained card instead of its source would leave 1 unmarked after step
+    5, and step 7 would not finish the run.
+    """
+
+    SCRIPT = [(0, 1, 0.5), (3, 3, 0.1), (0, 2, 0.0), (2, 1, 0.3),
+              (1, 2, 0.5), (3, 2, 0.9), (3, 3, 0.2)]
+
+    @pytest.mark.parametrize("table_cap", [marking.STEP_TABLE_MAX_DECK, 0],
+                             ids=["table", "inline"])
+    def test_hand_worked_trajectory(self, monkeypatch, table_cap):
+        monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", table_cap)
+        res = scripted_marking(monkeypatch, self.SCRIPT)
+        assert res.decks.tolist() == [[1, 3, 0, 2]]
+        assert res.t_phase1.tolist() == [4]
+        assert res.t_full.tolist() == [7]
+        assert res.mark_times.tolist() == [[0, 1, 2, 4, 7]]
+
+
 class TestBulkEngine:
     def test_deterministic_per_seed(self):
         one = bulk_marking_runs(H4, 0.6, 300, seed=12, record_mark_times=True)
