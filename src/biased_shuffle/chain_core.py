@@ -43,7 +43,12 @@ def stream_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 class CapacityError(ValueError):
-    """Requested size exceeds what an exact computation is allowed to materialise."""
+    """Requested size exceeds what a computation is allowed to materialise."""
+
+
+# Most bytes the per-run arrays of one batched marking call may take; it
+# admits the uniformity test's least run count at deck 8, 100 * 8! runs.
+RUN_BYTE_BUDGET = 1 << 30
 
 
 def check_bias(a: float) -> None:

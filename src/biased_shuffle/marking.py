@@ -26,16 +26,16 @@ moves a mark, is stated once too, by :func:`_step_rules` over a batch of rows.
 The package has one engine, :func:`bulk_marking_runs`, which runs many
 trajectories as numpy rows in two passes: phase one for every run, then phase
 two for every run from its state at entry, so no step mixes the phases.  The
-deck alone picks the form of its step.  Up to STEP_TABLE_MAX_DECK cards a run
-keeps its card positions and one integer for its marked set, and each step is
-read from :func:`step_table`, which runs :func:`_step_rules` once per phase
-over every (marked set, R, L).  Above that a run keeps its card positions,
-marked set and marked count, and each step runs :func:`_step_rules` on the
-batch and applies its coins.  Both forms draw from one stream derived from
-(seed, tag), so the output is the same deterministic function of (seed,
-trials) in either form.  The tests check it against a scalar per-trajectory
-engine and an exact dynamic program over (deck, marked set), both built on
-the same acceptance rules.
+deck alone picks the form of its step, and both forms keep one run state:
+card positions, a marked set and the marked count.  Up to STEP_TABLE_MAX_DECK
+cards the marked set is one integer and each step is read from
+:func:`step_table`, which runs :func:`_step_rules` once per phase over every
+(marked set, R, L).  Above that the marked set is one bool per card and each
+step runs :func:`_step_rules` on the batch and applies its coins.  Both forms
+draw from one stream derived from (seed, tag), so the output is the same
+deterministic function of (seed, trials) in either form.  The tests check it
+against a scalar per-trajectory engine and an exact dynamic program over
+(deck, marked set), both built on the same acceptance rules.
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import type_chain
-from .chain_core import BiasProfile, STREAM_MARKING, HandStream, stream_rng
+from .chain_core import (BiasProfile, CapacityError, RUN_BYTE_BUDGET, STREAM_MARKING,
+                         HandStream, stream_rng)
 
 
 def mark_threshold(deck: int, c1: float) -> int:
@@ -236,29 +237,29 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
     The runs share one stream over two passes, so that no step holds runs
     of both phases.  Pass one runs every run under the phase-one rule until
-    it has ceil(c1 N) marks, then copies its state out and leaves its row
+    it has ceil(c1 N) marks, then copies its state out and parks its row
     fully marked, where no rule applies.  Pass two starts every run from
     that copy, on the clock t = t_phase1 + s at its step s, and runs the
     phase-two rules to full marking, unless ceil(c1 N) = N and pass one
     finished the runs.  The step cap bounds each run's t.
 
-    At decks up to STEP_TABLE_MAX_DECK each run keeps ``pos_of`` (the
-    position of every card) and its state, mask * deck**2 for its marked
-    set, and a step looks its draw up in :func:`step_table`: key = state +
-    R * deck + L, then the next state by the coin ``u * den < num``.  Above
-    that each run keeps ``pos_of``, the marked set and the marked count
-    ``k``, and a step runs :func:`_step_rules` on the batch and flips each
-    row's coin.  A step's hands are one flat array, right hands then left
-    hands, and their offsets into the flat ``pos_of`` and marked set are the
-    hands plus the rows' offsets written twice: one gather and two
-    half-scatters swap positions, and marks and weights are read through
-    them.  Each run yields the card it gains this step, by a new mark or a
-    moved one, and one scatter marks them all; then a move unmarks its
-    source, at its marked hand's offset, and a mark bumps ``k``.  A run's
-    deck is written once, as the inverse of its ``pos_of`` row, when it
-    finishes.  The batch size, the doubled row offsets and the flat views
-    change only when finished runs are compacted away, so the loop keeps
-    them between compactions.
+    Both step forms keep one run state: ``pos_of`` (each card's position),
+    the marked set ``marks`` and the marked count ``k``, bumped on each
+    acceptance, which adds exactly one mark; passes, parking, compaction and
+    the step cap read only ``k``.  Up to STEP_TABLE_MAX_DECK cards ``marks``
+    is mask * deck**2 and a step reads :func:`step_table` at key = marks +
+    R * deck + L, then takes the next marked set by the coin ``u * den <
+    num``.  Above that ``marks`` holds one bool per card and a step runs
+    :func:`_step_rules` on the batch.  A step's hands are one flat array,
+    right hands then left, and their offsets into the flat ``pos_of`` and
+    marked set are the hands plus the rows' offsets written twice: one
+    gather and two half-scatters swap positions, and marks and weights are
+    read through them.  One scatter marks the card each run gains, by a new
+    mark or a moved one; then a move unmarks its source.  A run's deck is
+    written once, as the inverse of its ``pos_of`` row, when it finishes.
+    The batch size, doubled row offsets and flat views change only at
+    compaction, so the loop keeps them in between.  Calls past
+    RUN_BYTE_BUDGET raise CapacityError before allocating.
 
     A ``census`` sees only the chain's state: after each step's marks and
     moves the engine calls ``census.record(threshold, k0, ka0, k1, ka1)``
@@ -271,21 +272,30 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     cap = default_step_cap(deck)
     if trials < 1:
         raise ValueError("trials must be positive")
-    stream = HandStream(profile, stream_rng(seed, STREAM_MARKING))
 
+    tabled = deck <= STEP_TABLE_MAX_DECK
+    if tabled:
+        num, den, moves, _, ka_of = step_table(profile, threshold)
+        moves = moves.reshape(-1)  # moves[2 * key + accepted]
+        no_marks, full = np.zeros((), dtype=np.int64), ((1 << deck) - 1) * deck**2
+    else:
+        no_marks, full = np.zeros(deck, dtype=bool), True
+    # per run: positions and marked set at pass start and now, the output deck,
+    # 8 int64s (row offset x3, orig, k, 2 out times, a coin), mark times, a take
+    need = trials * (3 * 2 * deck + 2 * no_marks.nbytes + 8 * 8 + 6 * 8
+                     + record_mark_times * 8 * (deck + 1))
+    if need > RUN_BYTE_BUDGET:
+        raise CapacityError(f"{trials} marking runs at deck {deck} need {need / 2**30:.3g} "
+                            f"GiB, over the budget of {RUN_BYTE_BUDGET / 2**30:g} GiB")
+
+    stream = HandStream(profile, stream_rng(seed, STREAM_MARKING))
     labels = np.arange(deck, dtype=np.int16)
     # every run's state as its pass starts, written by pass one at entry
     start_pos = np.tile(labels, (trials, 1))
-    tabled = deck <= STEP_TABLE_MAX_DECK
-    if tabled:
-        num, den, moves, k_of, ka_of = step_table(profile, threshold)
-        moves = moves.reshape(-1)  # moves[2 * key + accepted]
-        start_state = np.zeros(trials, dtype=np.int64)  # mask * deck**2
-        full = ((1 << deck) - 1) * deck**2
-    else:
-        start_marked = np.zeros((trials, deck), dtype=bool)
-    # pos_of and marked stay C-contiguous through compaction: card c of run i
-    # sits at flat offset i * deck + c of both
+    start_marks = np.zeros((trials, *no_marks.shape), dtype=no_marks.dtype)
+    # pos_of and marks stay C-contiguous through compaction: card c of run i
+    # sits at flat offset i * deck + c of both; rows are gathered by take,
+    # many times faster than fancy indexing on short rows
     row_base = np.arange(trials, dtype=np.int64) * deck
     no_coins = np.zeros(trials)  # always_mark's coins: every num > 0, so 0 * den < num
 
@@ -296,32 +306,19 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
 
     wt = profile.weights()
 
-    def counts():
-        """Every row's marked count and marked type-A count, for the census."""
-        if tabled:
-            return k_of[state], ka_of[state]
-        return k.copy(), np.count_nonzero(marked[:, :n], axis=1)
-
-    def unfinished():
-        return (k_of[state] if tabled else k) < deck
-
     for phase2 in (False, True):
         goal = deck if phase2 else threshold
         orig = np.arange(0 if phase2 and threshold == deck else trials)
-        pos_of = start_pos[orig]
-        if tabled:
-            state = start_state[orig]
-        else:
-            marked = start_marked[orig]
-            flat_marked = marked.reshape(-1)
-            k = np.full(orig.size, threshold if phase2 else 0, dtype=np.int64)
-        batch, base2, flat_pos = orig.size, np.tile(row_base[:orig.size], 2), pos_of.reshape(-1)
+        pos_of, marks = start_pos.take(orig, axis=0), start_marks.take(orig, axis=0)
+        k = np.full(orig.size, threshold if phase2 else 0, dtype=np.int64)
+        batch, base2 = orig.size, np.tile(row_base[:orig.size], 2)
+        flat_pos, flat_marks = pos_of.reshape(-1), marks.reshape(-1)
         # t_phase1 reads 0 until pass one sets it, so a run's t is t_phase1 + s
         # in either pass; up to step limit no unfinished run's t passes the cap
         s = done = limit = 0
         while batch:
             s += 1
-            if s > limit and s > (limit := cap - out_tp1[orig[unfinished()]].max()):
+            if s > limit and s > (limit := cap - out_tp1[orig[k < deck]].max()):
                 raise RuntimeError(f"batched marking exceeded {cap} steps; "
                                    f"{batch} runs unfinished")
             coins, hands = stream.take(3 * batch, 2 * batch)
@@ -333,52 +330,48 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
             flat_pos[offsets[:batch]] = held[batch:]
             flat_pos[offsets[batch:]] = held[:batch]
             if census is not None:
-                before = counts()
+                k0, marks0 = k.copy(), marks.copy()
 
             if tabled:
                 key = right * deck
                 key += left
-                key += state
+                key += marks
                 ok = u_acc * den[key] < num[key]
                 key *= 2
                 key += ok
-                state = moves[key]
-                # an acceptance always adds a mark
+                marks = moves[key]
                 idx = ok.nonzero()[0]
-                k_now = k_of[state[idx]]
             else:
-                held_marks, weights = flat_marked[offsets], wt[hands]
+                held_marks, weights = flat_marks[offsets], wt[hands]
                 m_l = held_marks[batch:]
                 ok, move, num, den, gain = _step_rules(
-                    profile, marked, k, right, left, held_marks[:batch], m_l,
+                    profile, marks, k, right, left, held_marks[:batch], m_l,
                     weights[:batch], weights[batch:], phase2)
-                # gets marks the runs that gain a marked card this step, by a
-                # new mark or a moved one
+                # gets marks the runs that gain a card this step, by a new or moved mark
                 acc = u_acc * den < num
                 gets = acc & ok
                 if phase2:
                     gets |= move
-
                 # one update serves marks and moves: the gained card is marked
-                # (the per-step masks are 1-d, so nonzero()[0] skips
-                # flatnonzero's ravel wrapper)
                 idx = gets.nonzero()[0]
                 cards = gain[idx]
                 if idx.size:
-                    flat_marked[base2[idx] + cards] = True
+                    flat_marks[base2[idx] + cards] = True
                     if phase2:
                         # a gaining row that rejected is a move, which unmarks
                         # its other hand, the marked one
                         moved = ~acc[idx]
                         if moved.any():
                             vidx = idx[moved]
-                            flat_marked[offsets[vidx + batch * m_l[vidx]]] = False
+                            flat_marks[offsets[vidx + batch * m_l[vidx]]] = False
                             idx = idx[~moved]
-                k_now = k[idx] + 1
-                k[idx] = k_now
+            k_now = k[idx] + 1
+            k[idx] = k_now
 
             if census is not None:
-                census.record(threshold, *before, *counts())
+                both = np.stack((marks0, marks))
+                ka0, ka1 = ka_of[both] if tabled else np.count_nonzero(both[..., :n], axis=-1)
+                census.record(threshold, k0, ka0, k, ka1)
 
             if idx.size:
                 if out_times is not None:
@@ -386,30 +379,22 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     out_times[runs, k_now] = out_tp1[runs] + s
                 fin = idx[k_now == goal]
                 if fin.size:
-                    runs = orig[fin]
+                    runs, fin_pos = orig[fin], pos_of.take(fin, axis=0)
                     if goal == deck:
                         out_tfull[runs] = out_tp1[runs] + s
-                        out_decks[runs[:, None], pos_of[fin]] = labels
+                        out_decks[runs[:, None], fin_pos] = labels
                     if not phase2:
                         # pass two starts from a copy; the row, fully marked, marks no more
-                        out_tp1[runs], start_pos[runs] = s, pos_of[fin]
-                        if tabled:
-                            start_state[runs], state[fin] = state[fin], full
-                        else:
-                            start_marked[runs], marked[fin], k[fin] = marked[fin], True, deck
+                        out_tp1[runs], start_pos[runs] = s, fin_pos
+                        start_marks[runs], marks[fin], k[fin] = marks.take(fin, axis=0), full, deck
                     done += fin.size
 
             # done changes only on steps where a run finished
             if done * 8 >= batch:
-                keep = unfinished().nonzero()[0]
-                if tabled:
-                    state = state[keep]
-                else:
-                    marked = marked[keep]
-                    k = k[keep]
-                    flat_marked = marked.reshape(-1)
-                pos_of, orig, done = pos_of[keep], orig[keep], 0
-                batch, flat_pos = keep.size, pos_of.reshape(-1)
+                keep = (k < deck).nonzero()[0]
+                pos_of, marks = pos_of.take(keep, axis=0), marks.take(keep, axis=0)
+                k, orig, done = k[keep], orig[keep], 0
+                batch, flat_pos, flat_marks = keep.size, pos_of.reshape(-1), marks.reshape(-1)
                 base2 = np.tile(row_base[:batch], 2)
 
     return BulkMarkingResult(

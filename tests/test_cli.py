@@ -334,6 +334,20 @@ class TestExitCodes:
         assert peak < 4 * 2 ** 20
         assert "distance scan exceeded 277 steps" in capsys.readouterr().err
 
+    def test_marking_refuses_runs_past_the_byte_budget_before_allocating(self, capsys):
+        # 10**8 runs at deck 256 once asked numpy for 47.7 GiB of start
+        # positions and ended in a traceback with exit 1
+        tracemalloc.start()
+        try:
+            code = main(["marking", "--deck", "256", "-a", "0.5", "--trials", "100000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4 * 2 ** 20
+        out = capsys.readouterr()
+        assert out.out == "" and "budget" in out.err
+
     def test_exact_scan_stops_below_the_float_floor(self, capsys):
         # TV at deck 8, a = 0.5 never falls below about 5e-16, so no crossing
         # of 1e-20 comes and the scan stops at 100 times the theory time

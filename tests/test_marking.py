@@ -25,7 +25,8 @@ from _helpers import (
 )
 from _reference import build_assignment, full_scheme_dp, probability
 from biased_shuffle import marking
-from biased_shuffle.chain_core import make_bias_profile, stream_rng, STREAM_MARKING
+from biased_shuffle.chain_core import (CapacityError, make_bias_profile, stream_rng,
+                                       STREAM_MARKING)
 from biased_shuffle.exact_analysis import encode_many
 from biased_shuffle.marking import (
     _chisquare,
@@ -540,6 +541,26 @@ class TestBulkEngine:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             bulk_marking_runs(H4, 0.6, 0, seed=1)
+
+    @pytest.mark.parametrize("table_cap", [marking.STEP_TABLE_MAX_DECK, 0],
+                             ids=["step-table", "inline-step"])
+    def test_byte_budget_admits_the_least_deck8_uniformity_run(self, monkeypatch, table_cap):
+        # 100 * 8! runs, the least that the uniformity test takes at deck 8,
+        # pass the budget and reach the stream in either step form; 10**8
+        # runs are refused before the stream is made
+        class Admitted(Exception):
+            pass
+
+        def admit(profile, rng):
+            raise Admitted
+
+        monkeypatch.setattr(marking, "STEP_TABLE_MAX_DECK", table_cap)
+        monkeypatch.setattr(marking, "HandStream", admit)
+        profile = make_bias_profile(4, 0.5)
+        with pytest.raises(Admitted):
+            bulk_marking_runs(profile, 0.75, 100 * math.factorial(8), seed=0)
+        with pytest.raises(CapacityError, match="budget"):
+            bulk_marking_runs(profile, 0.75, 10**8, seed=0)
 
     def test_matches_scalar_engine_distribution(self):
         # same model through two very different code paths
