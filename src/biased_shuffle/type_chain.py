@@ -160,24 +160,6 @@ def harmonic_probe(n: int, c1: float, a: float) -> dict:
     }
 
 
-def variance_bound(n: int, a: float, c1: float) -> float:
-    """Bound (pi^2 / 6) N^2 / (a^4 c1^2) on Var of the phase-two duration."""
-    check_bias(a)
-    check_c1(c1)
-    deck = 2 * n
-    return (math.pi ** 2 / 6.0) * deck * deck / (a ** 4 * c1 ** 2)
-
-
-def phase2_upper_bound(n: int, a: float, c1: float, const_term: float = 4.0) -> float:
-    """Bound (n / (a (2c1 - 1))) (log 2n + log log 2n + const) on the mean
-    phase-two duration."""
-    check_c1(c1)
-    deck = 2 * n
-    if deck < 3:
-        raise ValueError("bound needs 2n >= 3 for the log log term")
-    return phase2_time_scale(n, a, c1) * (math.log(deck) + math.log(math.log(deck)) + const_term)
-
-
 def simulate_absorption(n: int, a: float, start: tuple[int, int],
                         trials: int, seed: int) -> np.ndarray:
     """Monte Carlo absorption step counts via the jump chain.

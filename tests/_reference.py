@@ -6,7 +6,8 @@ pair assignment built pair by pair, dictionary dynamic programming over
 transparent, so the fast engines can be checked against them.  The paper's
 closed-form quantities that only the tests read live here too: the hand
 probability of a card, the coupon-collector variance bound and touch-pick
-sampler, and the phase-two type-A marking rate floor.
+sampler, the phase-two variance and mean bounds of criteria 7i and 7ii, and
+the phase-two type-A marking rate floor.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from biased_shuffle.marking import (
     pair_rule,
     phase1_rule,
 )
-from biased_shuffle.type_chain import check_c1
+from biased_shuffle.type_chain import check_c1, phase2_time_scale
 
 
 def probability(rule) -> float:
@@ -315,6 +316,24 @@ def coupon_variance_bound(n: int, a: float) -> float:
     """Upper bound on the variance of the touch-time pick count."""
     check_bias(a)
     return (2 * n / a) ** 2 * (math.pi ** 2 / 6)
+
+
+def variance_bound(n: int, a: float, c1: float) -> float:
+    """Bound (pi^2 / 6) N^2 / (a^4 c1^2) on Var of the phase-two duration."""
+    check_bias(a)
+    check_c1(c1)
+    deck = 2 * n
+    return (math.pi ** 2 / 6.0) * deck * deck / (a ** 4 * c1 ** 2)
+
+
+def phase2_upper_bound(n: int, a: float, c1: float) -> float:
+    """Bound (n / (a (2c1 - 1))) (log 2n + log log 2n + 4) on the mean
+    phase-two duration."""
+    check_c1(c1)
+    deck = 2 * n
+    if deck < 3:
+        raise ValueError("bound needs 2n >= 3 for the log log term")
+    return phase2_time_scale(n, a, c1) * (math.log(deck) + math.log(math.log(deck)) + 4.0)
 
 
 # Stream tag of the touch-pick sampler, kept off the package engines' tags

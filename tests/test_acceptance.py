@@ -21,7 +21,9 @@ from _helpers import MarkingCensus, evolve, lehmer_operator
 from _reference import (
     dense_transition_matrix,
     derangement_count,
+    phase2_upper_bound,
     uniform_fixed_mass_enumerated,
+    variance_bound,
 )
 from biased_shuffle import bounds, exact_analysis as ea, marking, type_chain
 from biased_shuffle.chain_core import make_bias_profile
@@ -170,10 +172,10 @@ def test_criterion_7_bounds_on_marking_times():
     for (deck, a), res in samples.items():
         n = deck // 2
         phase2 = (res.t_full - res.t_phase1).astype(float)
-        vb = type_chain.variance_bound(n, a, 0.75)
+        vb = variance_bound(n, a, 0.75)
         var_ok &= phase2.var(ddof=1) <= vb
         var_d.append(f"N={deck},a={a}: {phase2.var(ddof=1):.0f}<={vb:.0f}")
-        mb = type_chain.phase2_upper_bound(n, a, 0.75, const_term=4.0)
+        mb = phase2_upper_bound(n, a, 0.75)
         mean_ok &= phase2.mean() <= mb
         mean_d.append(f"N={deck},a={a}: {phase2.mean():.1f}<={mb:.1f}")
     record_criterion("7i", var_ok, "phase-two variance bound: " + "; ".join(var_d))

