@@ -354,9 +354,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     gets |= move
                 # one update serves marks and moves: the gained card is marked
                 idx = gets.nonzero()[0]
-                cards = gain[idx]
                 if idx.size:
-                    flat_marks[base2[idx] + cards] = True
+                    flat_marks[base2[idx] + gain[idx]] = True
                     if phase2:
                         # a gaining row that rejected is a move, which unmarks
                         # its other hand, the marked one
@@ -365,6 +364,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                             vidx = idx[moved]
                             flat_marks[offsets[vidx + batch * m_l[vidx]]] = False
                             idx = idx[~moved]
+            # idx holds the rows that gained a mark, each exactly one
             k_now = k[idx] + 1
             k[idx] = k_now
 

@@ -152,8 +152,7 @@ BULK = {
         dict(n=4, a=0.5, c1=0.95, trials=500, seed=16),
         "9942a6d11322eb1f52bbc7f6086a66da0f8e917b3f8ccac60d4a6ff672776559"),
     # step-table decks with mark times recorded across many compactions in
-    # both passes, pinned before the two step forms came to share one run
-    # state; each form's census and mark times must agree with the table's
+    # both passes, taken before the two step forms came to share one run state
     "deck6-mark-times-compacted": (
         dict(n=3, a=0.5, c1=0.6, trials=2_000, seed=17, record_mark_times=True),
         "4f17817ecb4fe0e481dbcfbd76f489399851c394e7929412c0d74c8fcbff890b"),
