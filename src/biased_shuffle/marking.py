@@ -364,7 +364,6 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                             vidx = idx[moved]
                             flat_marks[offsets[vidx + batch * m_l[vidx]]] = False
                             idx = idx[~moved]
-            # idx holds the rows that gained a mark, each exactly one
             k_now = k[idx] + 1
             k[idx] = k_now
 
@@ -379,7 +378,8 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     out_times[runs, k_now] = out_tp1[runs] + s
                 fin = idx[k_now == goal]
                 if fin.size:
-                    runs, fin_pos = orig[fin], pos_of.take(fin, axis=0)
+                    runs = orig[fin]
+                    fin_pos = pos_of.take(fin, axis=0)
                     if goal == deck:
                         out_tfull[runs] = out_tp1[runs] + s
                         out_decks[runs[:, None], fin_pos] = labels
