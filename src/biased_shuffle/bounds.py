@@ -23,13 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain_core import (
-    BiasProfile,
-    STREAM_WALK,
-    HandStream,
-    check_bias,
-    stream_rng,
-)
+from .chain_core import (BiasProfile, CapacityError, RUN_BYTE_BUDGET, STREAM_WALK, HandStream,
+                         check_bias, stream_rng)
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -97,6 +92,7 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     positions stay frozen after the last one while touch tracking, which
     reads only the hands, follows the runs whose pick is still open: one
     pass over both hands per step, with state kept for those runs only.
+    Calls past RUN_BYTE_BUDGET raise CapacityError before allocating.
     """
     n = profile.n
     deck = profile.deck_size
@@ -108,6 +104,14 @@ def simulate_walks(profile: BiasProfile, t_values, trials: int, seed: int,
     tt = touch_threshold
     if tt is not None and not 0 <= tt <= n:
         raise ValueError("touch_threshold must lie in [0, n]")
+    # per walk: its int16 counts and, when tracked, int64 touch picks and
+    # steps; per block row: int16 positions, the untouched row and two hands
+    tracked = tt is not None
+    block = min(trials, DEFAULT_BLOCK_SIZE)
+    need = trials * (2 * len(ts) + tracked * 16) + block * (2 * deck + tracked * (n + 1) + 16)
+    if need > RUN_BYTE_BUDGET:
+        raise CapacityError(f"{trials} walks at deck {deck} need {need / 2**30:.3g} GiB, "
+                            f"over the budget of {RUN_BYTE_BUDGET / 2**30:g} GiB")
     t_max = ts[-1] if ts else 0
     col_of = {t: i for i, t in enumerate(ts)}
     counts = np.empty((trials, len(ts)), dtype=np.int16)

@@ -46,7 +46,7 @@ class CapacityError(ValueError):
     """Requested size exceeds what a computation is allowed to materialise."""
 
 
-# Most bytes the per-run arrays of one batched marking call may take; it
+# Most bytes one batched marking or walk call may state for its arrays; it
 # admits the uniformity test's least run count at deck 8, 100 * 8! runs.
 RUN_BYTE_BUDGET = 1 << 30
 

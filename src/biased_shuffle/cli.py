@@ -189,9 +189,10 @@ def cmd_lowerbound(ns) -> int:
         ts = _list(ns.t_list, int)
     else:
         multiples = _list(ns.multiples, float)
-        if not all(0 < m < math.inf for m in multiples):
-            raise ValueError("multiples must be positive and finite")
         star = theory_time(profile)
+        # a finite multiple as large as 1e308 overflows once scaled to steps
+        if not all(0 < m and m * star < math.inf for m in multiples):
+            raise ValueError("multiples must be positive and finite, also in steps")
         ts = sorted({max(1, round(m * star)) for m in multiples})
     rows = bounds.lower_bound_sweep(profile, ts, threshold, ns.trials, ns.seed)
     _emit(ns, ("t", "threshold", "estimate", "stderr", "uniform_mass", "bound"),

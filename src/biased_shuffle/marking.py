@@ -255,7 +255,10 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
     marked set are the hands plus the rows' offsets written twice: one
     gather and two half-scatters swap positions, and marks and weights are
     read through them.  One scatter marks the card each run gains, by a new
-    mark or a moved one; then a move unmarks its source.  A run's deck is
+    mark or a moved one: in pass one always R, through its right-hand
+    offset.  In pass two the gaining rows split once, by their coins, into
+    moves, which unmark their source, and new marks; a step where no run
+    gains a mark leaves ``k`` alone.  A run's deck is
     written once, as the inverse of its ``pos_of`` row, when it finishes.
     The batch size, doubled row offsets and flat views change only at
     compaction, so the loop keeps them in between.  Calls past
@@ -354,18 +357,21 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                     gets |= move
                 # one update serves marks and moves: the gained card is marked
                 idx = gets.nonzero()[0]
-                if idx.size:
+                if idx.size and not phase2:
+                    # phase one gains R, whose flat offset the right half holds
+                    flat_marks[offsets[idx]] = True
+                elif idx.size:
                     flat_marks[base2[idx] + gain[idx]] = True
-                    if phase2:
-                        # a gaining row that rejected is a move, which unmarks
-                        # its other hand, the marked one
-                        moved = ~acc[idx]
-                        if moved.any():
-                            vidx = idx[moved]
-                            flat_marks[offsets[vidx + batch * m_l[vidx]]] = False
-                            idx = idx[~moved]
-            k_now = k[idx] + 1
-            k[idx] = k_now
+                    # a gaining row that rejected is a move, which unmarks
+                    # its other hand, the marked one; the rows split once
+                    kept = acc[idx]
+                    vidx = idx[~kept]
+                    if vidx.size:
+                        flat_marks[offsets[vidx + batch * m_l[vidx]]] = False
+                    idx = idx[kept]
+            if idx.size:
+                k_now = k[idx] + 1
+                k[idx] = k_now
 
             if census is not None:
                 both = np.stack((marks0, marks))

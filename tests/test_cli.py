@@ -9,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import biased_shuffle
 from biased_shuffle import exact_analysis, marking, type_chain
@@ -348,6 +350,24 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "budget" in out.err
 
+    @pytest.mark.parametrize("argv", [
+        ["lowerbound", "--deck", "12", "--trials", "1000000000"],
+        ["simulate", "--deck", "12", "--t", "5", "--trials", "1000000000"],
+    ])
+    def test_walks_refuse_trials_past_the_byte_budget_before_allocating(self, capsys, argv):
+        # these once asked numpy for 9.31 and 1.86 GiB of int16 counts and
+        # ended in a traceback with exit 1
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4 * 2 ** 20
+        out = capsys.readouterr()
+        assert out.out == "" and "budget" in out.err
+
     def test_exact_scan_stops_below_the_float_floor(self, capsys):
         # TV at deck 8, a = 0.5 never falls below about 5e-16, so no crossing
         # of 1e-20 comes and the scan stops at 100 times the theory time
@@ -464,6 +484,14 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "multiples must be positive and finite" in out.err
 
+    def test_lowerbound_refuses_multiples_that_overflow_in_steps(self, capsys):
+        # 1e308 times the theory time is inf, which round() once met with an
+        # OverflowError traceback and exit 1
+        assert main(["lowerbound", "--deck", "4", "--trials", "10",
+                     "--multiples", "0.5,1e308"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "also in steps" in out.err
+
     def test_gaps_refuse_always_mark(self, capsys):
         # the gap report flips its coins, so the flag would be recorded and ignored
         assert main(["marking", "--mode", "gaps", "--deck", "10", "--c1", "0.6",
@@ -513,3 +541,81 @@ class TestExitCodes:
     def test_parse_header_rejects_other_lines(self):
         with pytest.raises(ValueError):
             parse_header("t,tv,separation")
+
+
+# The argv grammar of the property test below: per subcommand, each option's
+# values as (values that may run, values that must be refused), where None
+# leaves the option out and True gives a bare flag.  Refused values lie at a
+# cap + 1 or a boundary past it, or are huge, non-finite or malformed.  Values
+# that run stay cheap in any combination: a run at a cap can take a minute
+# (exact --deck 18, the deck-8 uniformity minimum), so caps are drawn only for
+# the walks' deck, with one or two walks of at most five steps.  Walk
+# checkpoints (--t, --t-list, --multiples) have no step cap, so they are drawn
+# small and never huge.
+HUGE = ("1000000000", "1000000000000000000")
+NOT_AN_INT = ("1e9", "1.5", "nan", "inf", "x", "")
+NOT_A_FLOAT = ("nan", "inf", "-inf", "x", "")
+SEED = ((None, "0", "1", *HUGE), ("-1", *NOT_AN_INT))
+BIAS = ((None, "1", "0.5"), ("0", "-1", "1.0000001", "1e18", *NOT_A_FLOAT))
+C1 = ((None, "0.6", "0.75"), ("0.5", "1", "-1", "1e18", *NOT_A_FLOAT))
+TRIALS = ((None, "1", "2", "50"), ("0", "-1", *HUGE, *NOT_AN_INT))
+WALK_DECK = ((None, "2", "4", "12"), ("0", "1", "-1", "3", "32768", *HUGE, *NOT_AN_INT))
+# 32766 is the largest even deck that int16 labels hold
+AT_CAP = {"--deck": (("32766",), ()), "--trials": (("1", "2"), ())}
+ARGV_GRAMMAR = {
+    "exact": {"--deck": ((None, "2", "4", "6"), ("0", "-1", "19", "20", *HUGE, *NOT_AN_INT)),
+              "-a": BIAS,
+              "--t-max": ((None, "0", "1"), ("-1", *HUGE, *NOT_AN_INT)),
+              "--eps": ((None, "0.5"), ("0", "1", "-1", "1e18", *NOT_A_FLOAT))},
+    "simulate": {"--seed": SEED, "--deck": WALK_DECK, "-a": BIAS,
+                 "--t": (("0", "1", "5"), (None, "-1", *NOT_AN_INT)), "--trials": TRIALS},
+    "simulate at cap": {"--seed": SEED, "-a": BIAS, **AT_CAP, "--t": (("0", "5"), ())},
+    "marking": {"--seed": SEED,
+                "--deck": ((None, "2", "4", "6", "10"),
+                           ("0", "-1", "3", "32768", *HUGE, *NOT_AN_INT)),
+                "-a": BIAS, "--c1": C1, "--trials": TRIALS,
+                "--mode": ((None, "runs", "uniformity", "gaps"), ("x",)),
+                "--always-mark": ((None, True), ())},
+    "typechain": {"--n": ((None, "1", "2"), ("0", "-1", "1025", *HUGE, *NOT_AN_INT)),
+                  "-a": BIAS, "--c1": C1,
+                  "--mode": ((None, "rows", "absorption", "bound"), ("x",))},
+    "lowerbound": {"--seed": SEED, "--deck": WALK_DECK, "-a": BIAS,
+                   "--threshold": ((None, "1"), ("0", "-1", *HUGE, *NOT_AN_INT)),
+                   "--t-list": ((None, "0", "3", "1,5"), ("", ",", "-1", "x", "nan")),
+                   "--multiples": ((None, "0.5", "0.5,1"),
+                                   ("", ",", "0", "-1", "1e308", "nan", "inf", "x")),
+                   "--trials": TRIALS},
+    "lowerbound at cap": {"--seed": SEED, "-a": BIAS, **AT_CAP,
+                          "--t-list": (("0", "1,5"), ())},
+    "conjecture": {"--n-list": ((None, "4", "4,8"),
+                                ("", ",", "0", "-1", "1025", *HUGE, "x", "nan")),
+                   "--c1-list": ((None, "0.75", "0.75,0.875"),
+                                 ("", "0.5", "1", "nan", "inf", "x")),
+                   "-a": BIAS},
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_drawn_argv_exits_with_a_documented_code(tmp_path, data):
+    """Any argv of the grammar above exits 0, 2, 3 or 4, and nothing else escapes.
+
+    At most one option takes a refused value, so that no other option's
+    refusal hides it, and then the exit code is not 0.
+    """
+    grammar = data.draw(st.sampled_from(sorted(ARGV_GRAMMAR)), label="grammar")
+    options = ARGV_GRAMMAR[grammar]
+    refused = data.draw(st.sampled_from([None, *(f for f, (_, bad) in options.items() if bad)]),
+                        label="refused option")
+    argv = [grammar.split()[0], "--out", str(tmp_path / "out")]
+    for flag, (ok, bad) in options.items():
+        value = data.draw(st.sampled_from(bad if flag == refused else ok), label=flag)
+        if value is not None:
+            argv += [flag] if value is True else [flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses malformed values
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert code != 0 or refused is None, argv
