@@ -363,7 +363,7 @@ def bulk_marking_runs(profile: BiasProfile, c1: float, trials: int, seed: int,
                 elif idx.size:
                     flat_marks[base2[idx] + gain[idx]] = True
                     # a gaining row that rejected is a move, which unmarks
-                    # its other hand, the marked one; the rows split once
+                    # its other hand, the marked one
                     kept = acc[idx]
                     vidx = idx[~kept]
                     if vidx.size:

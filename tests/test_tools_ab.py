@@ -10,8 +10,7 @@ SHAPE = "marking-12x300"
 
 def copy_tree(tmp_path, name):
     tree = tmp_path / name
-    shutil.copytree(ROOT / "src", tree / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     return tree
 
 

@@ -9,11 +9,11 @@ example a ``git archive`` of the parent commit and the working tree.  Both
 packages load into one interpreter, each under its own module name, so
 neither shadows the other.  For each shape, an untimed warm-up round builds
 the cached tables; then each pair runs the shape twice on each side, in the
-order A B B A on even pairs and B A A B on odd ones, on the pair's seed,
-timed with ``time.process_time``, and keeps each side's faster call.  Every
-call's outputs must be byte-equal to the others of its pair, or the script
-exits 1 and names the shape.
-Pass the same tree twice for an A/A control.
+order A B B A (A the parent) on even pairs and B A A B on odd ones, on the
+pair's seed, timed with ``time.process_time``, and keeps each side's faster
+call.  Every call's outputs must be byte-equal to the others of its pair,
+or the script exits 1 and names the shape.  Pass the same tree twice for an
+A/A control.
 
 Prints one Markdown table row per shape: the median seconds of each side,
 the median change / parent ratio with its quartiles, and the pairs in which
