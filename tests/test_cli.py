@@ -543,9 +543,7 @@ class TestExitCodes:
 # cap + 1 or a boundary past it, or are huge, non-finite or malformed.  Values
 # that run stay cheap in any combination: a run at a cap can take a minute
 # (exact --deck 18, the deck-8 uniformity minimum), so caps are drawn only for
-# the walks' deck, with one or two walks of at most five steps.  Walk
-# checkpoints (--t, --t-list, --multiples) have no step cap, so they are drawn
-# small and never huge.
+# the walks' deck, with one or two walks of at most five steps.
 HUGE = ("1000000000", "1000000000000000000")
 NOT_AN_INT = ("1e9", "1.5", "nan", "inf", "x", "")
 NOT_A_FLOAT = ("nan", "inf", "-inf", "x", "")
@@ -596,7 +594,9 @@ def test_every_drawn_argv_exits_with_a_documented_code(tmp_path, data):
     """Any argv of the grammar above exits 0, 2, 3 or 4, and nothing else escapes.
 
     At most one option takes a refused value, so that no other option's
-    refusal hides it, and then the exit code is not 0.
+    refusal hides it, and then the exit code is not 0.  Walk checkpoints
+    (--t, --t-list, --multiples) have no step cap, so they are drawn small
+    and never huge.
     """
     grammar = data.draw(st.sampled_from(sorted(ARGV_GRAMMAR)), label="grammar")
     options = ARGV_GRAMMAR[grammar]
