@@ -51,10 +51,22 @@ class CapacityError(ValueError):
 RUN_BYTE_BUDGET = 1 << 30
 
 
+# Least bias the engines take.  The largest number they form from a is the
+# phase-one mean time, the sum over k < N of (N / (a (N - k)))^2, at most
+# (pi^2 / 6) (N / a)^2; at a = MIN_BIAS and N = MAX_DECK, N / a is 1e150, so
+# that sum, t* = N log N / (2 a), the type-count tables and the inverse-CDF
+# sojourns' log1p(-q) (q >= a^2 / N^2, a normal double) all stay finite and
+# nonzero at every deck.
+MIN_BIAS = MAX_DECK * 1e-150
+
+
 def check_bias(a: float) -> None:
-    """Raise ValueError unless the bias lies in the model's range 0 < a <= 1 (NaN does not)."""
+    """Raise ValueError unless the bias lies in the model's range 0 < a <= 1 (NaN does
+    not) and is at least MIN_BIAS."""
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
+    if a < MIN_BIAS:
+        raise ValueError(f"a must be at least {MIN_BIAS:.3g}, the least bias the engines take")
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,19 @@ def harmonic_probe(n: int, c1: float, a: float) -> dict:
     }
 
 
+@np.errstate(divide="ignore")  # log1p(-q) is -inf at q = 1, whose sojourns are all 1
 def simulate_absorption(n: int, a: float, start: tuple[int, int],
                         trials: int, seed: int) -> np.ndarray:
     """Monte Carlo absorption step counts via the jump chain.
 
-    Sojourn lengths are geometric with the state's total move probability, so
-    each trajectory needs at most 2n draws.  The live trajectories stay
-    compacted, each with its trial index, and a trajectory's step count is
-    written out when it reaches (n, n).  Deterministic for (seed, trials).
+    Sojourn lengths are geometric with the state's total move probability q,
+    so each trajectory needs at most 2n jumps.  A jump draws two uniforms: v
+    gives the sojourn by inversion, floor(log1p(-v) / log1p(-q)) + 1, which is
+    1 at q = 1, and u * q picks the move.  The counts and step sums are kept
+    as float64, exact while they are whole numbers below 2^53.  The live
+    trajectories stay compacted, each with its trial index, and a
+    trajectory's step count is written out when it reaches (n, n).
+    Deterministic for (seed, trials).
     """
     ka0, kb0 = start
     _check_state(n, a, ka0, kb0)
@@ -176,20 +181,25 @@ def simulate_absorption(n: int, a: float, start: tuple[int, int],
     rng = stream_rng(seed, STREAM_TYPECHAIN)
     out = np.zeros(trials, dtype=np.int64)
     trial = np.arange(trials if ka0 + kb0 < 2 * n else 0)
-    ka = np.full(trial.size, ka0, dtype=np.int64)
-    kb = np.full(trial.size, kb0, dtype=np.int64)
-    steps = np.zeros(trial.size, dtype=np.int64)
+    ka = np.full(trial.size, float(ka0))
+    kb = np.full(trial.size, float(kb0))
+    steps = np.zeros(trial.size)
     while trial.size:
         p_b, p_a, p_m = _jump_law(n, a, ka, kb)
-        q = p_b + p_a + p_m
-        steps += rng.geometric(q)
-        u = rng.random(trial.size) * q
+        p_ba = p_b + p_a
+        q = p_ba + p_m
+        v, u = rng.random((2, trial.size))
+        np.log1p(-v, out=v)
+        v /= np.log1p(-q)
+        np.floor(v, out=v)
+        steps += v
+        steps += 1.0
+        u *= q
         go_b = u < p_b
-        go_a = ~go_b & (u < p_b + p_a)
-        go_m = ~go_b & ~go_a
+        go_m = u >= p_ba
         kb += go_b
         kb -= go_m
-        ka += go_a | go_m
+        ka += ~go_b
         done = ka + kb == 2 * n
         if done.any():
             out[trial[done]] = steps[done]

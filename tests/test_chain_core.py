@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from _helpers import DeckState, MarkingState
 from _reference import hand_probability
-from biased_shuffle import bounds, chain_core, marking
+from biased_shuffle import bounds, chain_core, marking, type_chain
 from biased_shuffle.chain_core import (
+    MAX_DECK,
+    MIN_BIAS,
     BiasProfile,
     HandStream,
     hand_table,
@@ -20,6 +22,7 @@ from biased_shuffle.chain_core import (
     stream_rng,
     uniforms_from_words,
 )
+from biased_shuffle.type_chain import MAX_GRID_N
 
 
 def is_bijection(d: DeckState) -> bool:
@@ -56,6 +59,21 @@ class TestBiasProfile:
     def test_rejects_bad_parameters(self, n, a):
         with pytest.raises(ValueError):
             make_bias_profile(n, a)
+
+    def test_least_bias_keeps_the_rates_and_means_finite_at_the_largest_deck(self):
+        # the floor's comment: N / a, t*, the phase-one mean and the jump rates
+        # stay finite and nonzero at every deck, at the type-count grid's cap too
+        with pytest.raises(ValueError, match="at least"):
+            make_bias_profile(2, np.nextafter(MIN_BIAS, 0.0))
+        n = MAX_DECK // 2
+        profile = make_bias_profile(n, MIN_BIAS)
+        assert chain_core.theory_time(profile) > 0  # round() raises on inf
+        assert math.isfinite(marking.expected_phase1_time(profile, 0.99))
+        ka, kb = np.meshgrid(np.r_[0:3, n - 2:n + 1], np.r_[0:3, n - 2:n + 1])
+        row = type_chain.transition_row(n, MIN_BIAS, ka, kb)
+        q = (row.p_b_up + row.p_a_up + row.p_move)[ka + kb < 2 * n]
+        assert (q >= (MIN_BIAS / MAX_DECK) ** 2).all() and (np.log1p(-q) < 0).all()
+        assert np.isfinite(type_chain.expected_absorption(MAX_GRID_N, MIN_BIAS)).all()
 
     def test_rejects_decks_past_int16_labels(self):
         with pytest.raises(ValueError, match="32767"):

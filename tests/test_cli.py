@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import biased_shuffle
 from biased_shuffle import exact_analysis, marking, type_chain
-from biased_shuffle.chain_core import make_bias_profile
+from biased_shuffle.chain_core import MIN_BIAS, make_bias_profile
 from biased_shuffle.cli import build_parser, main, parse_header
 
 
@@ -404,6 +405,23 @@ class TestExitCodes:
             assert main(["conjecture", "--n-list", "4", "-a", a]) == 2
             assert "a must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "exact --deck 4 -a 1e-320",
+        "lowerbound --deck 4 -a 1e-320",
+        "marking --deck 4 --trials 2 -a 1e-200",
+        "typechain --mode absorption --n 2 -a 1e-320",
+        "typechain --mode bound --n 2 -a 1e-320",
+        "simulate --deck 4 --t 2 --trials 2 -a 1e-320",
+    ], ids=["exact", "lowerbound", "marking", "typechain-absorption", "typechain-bound",
+            "simulate"])
+    def test_biases_below_the_floor_are_refused_before_any_engine_runs(self, capsys, argv):
+        # each of these once overflowed, divided by zero or printed inf and nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv.split()) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"at least {MIN_BIAS:.3g}" in out.err
+
     def test_gaps_refuse_undefined_correlations(self, monkeypatch, capsys):
         argv = ["marking", "--mode", "gaps", "--deck", "10", "--c1", "0.6"]
         assert main(argv + ["--trials", "1"]) == 2
@@ -548,7 +566,8 @@ HUGE = ("1000000000", "1000000000000000000")
 NOT_AN_INT = ("1e9", "1.5", "nan", "inf", "x", "")
 NOT_A_FLOAT = ("nan", "inf", "-inf", "x", "")
 SEED = ((None, "0", "1", *HUGE), ("-1", *NOT_AN_INT))
-BIAS = ((None, "1", "0.5"), ("0", "-1", "1.0000001", "1e18", *NOT_A_FLOAT))
+BIAS = ((None, "1", "0.5"), ("0", "5e-324", "1e-320", "1e-200", "-1", "1.0000001", "1e18",
+                            *NOT_A_FLOAT))
 C1 = ((None, "0.6", "0.75"), ("0.5", "1", "-1", "1e18", *NOT_A_FLOAT))
 TRIALS = ((None, "1", "2", "50"), ("0", "-1", *HUGE, *NOT_AN_INT))
 WALK_DECK = ((None, "2", "4", "12"), ("0", "1", "-1", "3", "32768", *HUGE, *NOT_AN_INT))

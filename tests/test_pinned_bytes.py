@@ -216,13 +216,13 @@ CLI = {
 ABSORPTION = {
     "n128-a0.5": (
         dict(n=128, a=0.5, start=(96, 96), trials=4000, seed=4242),
-        "f13cc9fcd84ea8ccaa22bcfa4a994db5c333a88c401eb82f6b20b016d231482d"),
+        "dd3ab01f2ee277e8e320eff531b6a2fe6cedbc7642d164679cd0b403593d07ee"),
     "n128-a1": (
         dict(n=128, a=1.0, start=(96, 96), trials=4000, seed=4242),
-        "5cfabd6dff2b7d030075b4b7925c67efe6825eeb0b9acb2e89152316812c9af3"),
+        "ee4f01cc568e9c919c61308f466b7792516b3f66db391b43ca4b29e0dd3602a7"),
     "n7-a0.3-origin": (
         dict(n=7, a=0.3, start=(0, 0), trials=4000, seed=4242),
-        "1452a51cf6de1c76efef6a0b567da079c54858e0aa712621f13463250c2f6d4c"),
+        "4d2b112bd7262a74a180cb27258d90eddab1c722f7c0dcca1d19f329dfc6cda1"),
 }
 
 # n: uniform_fixed_pmf(n), large enough that the tail masses underflow to 0.0

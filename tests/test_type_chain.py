@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from _reference import phase2_upper_bound, rate_mark_a_floor, variance_bound
 from biased_shuffle import marking, type_chain
@@ -158,6 +159,23 @@ class TestExpectedAbsorption:
         assert (simulate_absorption(2, 0.5, (2, 2), trials=8, seed=0) == 0).all()
         with pytest.raises(ValueError):
             simulate_absorption(2, 0.5, (0, 0), trials=0, seed=0)
+
+    @pytest.mark.parametrize("a", [0.01, 0.5, 1.0])
+    def test_one_sojourn_is_geometric(self, a):
+        # at n = 1 from (1, 0) only the b-mark fires, at q = ab, and it absorbs,
+        # so the step count is one sojourn: P(G = j) = q (1 - q)^(j - 1), j >= 1
+        q = a * (2.0 - a)
+        steps = simulate_absorption(1, a, (1, 0), trials=50_000, seed=3)
+        assert steps.min() == 1
+        if q == 1.0:
+            assert steps.max() == 1
+            return
+        expected = steps.size * q * (1.0 - q) ** np.arange(steps.max())
+        cut = int(np.count_nonzero(expected >= 5))  # j < cut alone, j >= cut pooled
+        observed = np.bincount(steps)[1:]
+        obs = np.append(observed[:cut - 1], observed[cut - 1:].sum())
+        exp = np.append(expected[:cut - 1], steps.size * (1.0 - q) ** (cut - 1))
+        assert stats.chisquare(obs, exp).pvalue > 0.001
 
 
 class TestGridCap:

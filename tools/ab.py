@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 tools/ab.py PARENT CHANGE --shape NAME [--shape NAME ...] [--pairs N]
+    python3 tools/ab.py PARENT CHANGE --shape NAME [--shape NAME ...] [--pairs N] [--allow-diff]
 
 PARENT and CHANGE are directories that each hold ``src/biased_shuffle``, for
 example a ``git archive`` of the parent commit and the working tree.  Both
@@ -12,8 +12,10 @@ the cached tables; then each pair runs the shape twice on each side, in the
 order A B B A (A the parent) on even pairs and B A A B on odd ones, on the
 pair's seed, timed with ``time.process_time``, and keeps each side's faster
 call.  Every call's outputs must be byte-equal to the others of its pair,
-or the script exits 1 and names the shape.  Pass the same tree twice for an
-A/A control.
+or the script exits 1 and names the shape.  ``--allow-diff`` times a change
+that draws differently: the two sides' outputs may then differ, but each
+side's two calls in a pair must still be byte-equal, so a side that is not
+deterministic still exits 1.  Pass the same tree twice for an A/A control.
 
 Prints one Markdown table row per shape: the median seconds of each side,
 the median change / parent ratio with its quartiles, and the pairs in which
@@ -60,8 +62,9 @@ def marking(deck: int, a: float, runs: int):
     return run
 
 
-def absorption(n: int, a: float, trials: int):
-    start = (math.ceil(C1 * 2 * n) // 2,) * 2
+def absorption(n: int, a: float, trials: int, start=None):
+    """The jump chain from ``start``, by default the phase-two start at C1."""
+    start = start or (math.ceil(C1 * 2 * n) // 2,) * 2
 
     def run(pkg, seed):
         return (pkg.type_chain.simulate_absorption(n, a, start, trials, seed),)
@@ -97,6 +100,9 @@ SHAPES = {
     "walk-1024x500": walk(1024, 0.5, 500, multiples=(0.25, 0.5, 0.8, 1.0, 1.5)),
     "touch-100x5000": walk(100, 0.5, 5000, touch=5),
     "absorption-128x4000": absorption(128, 0.5, 4000),
+    "absorption-128x4000-a1": absorption(128, 1.0, 4000),
+    # from the origin, as criterion 6 starts; three jumps in four have q >= 1/3
+    "absorption-4x30000-a1-origin": absorption(4, 1.0, 30_000, start=(0, 0)),
 }
 
 
@@ -116,8 +122,9 @@ def timed(run, pkg, seed) -> tuple[float, str]:
     return time.process_time() - start, digest(out)
 
 
-def measure(name: str, sides, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair seconds of (parent, change); exits 1 when any call's outputs differ.
+def measure(name: str, sides, pairs: int, allow_diff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair seconds of (parent, change); exits 1 when any call's outputs
+    differ, or with ``allow_diff`` when one side's two calls differ.
 
     A pair runs the sides in the order A B B A, or B A A B on odd pairs, and
     each side's time is the smaller of its two calls.
@@ -127,13 +134,14 @@ def measure(name: str, sides, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     for pair in range(-1, pairs):  # pair -1 is the untimed warm-up
         seed = max(pair, 0)
         first = pair % 2
-        digests = set()
+        digests = (set(), set())
         for side in (first, 1 - first, 1 - first, first):
             t, out = timed(run, sides[side], seed)
-            digests.add(out)
+            digests[side].add(out)
             if pair >= 0:
                 secs[pair, side] = min(secs[pair, side], t)
-        if len(digests) > 1:
+        if len(digests[0]) > 1 or len(digests[1]) > 1 or (
+                digests[0] != digests[1] and not allow_diff):
             raise SystemExit(f"error: outputs differ on shape {name} at seed {seed}")
     return secs[:, 0], secs[:, 1]
 
@@ -152,6 +160,9 @@ def main(argv=None) -> int:
     parser.add_argument("--shape", action="append", required=True, choices=sorted(SHAPES),
                         help="shape to time; repeat for more")
     parser.add_argument("--pairs", type=int, default=15, help="timed pairs per shape")
+    parser.add_argument("--allow-diff", action="store_true",
+                        help="let the two sides' outputs differ; each side's own "
+                             "calls must still agree")
     ns = parser.parse_args(argv)
     if ns.pairs < 1:
         parser.error("--pairs must be positive")
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
     print("| shape | pairs | parent s | change s | ratio, median (quartiles) | change faster |")
     print("| --- | --- | --- | --- | --- | --- |")
     for name in ns.shape:
-        print(table_row(name, *measure(name, sides, ns.pairs)), flush=True)
+        print(table_row(name, *measure(name, sides, ns.pairs, ns.allow_diff)), flush=True)
     return 0
 
 
